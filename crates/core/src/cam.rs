@@ -20,7 +20,7 @@
 //! carries it), bit-identical to the frozen scan model in
 //! [`reference`](crate::reference).
 
-use crate::energy::CamEnergy;
+use crate::energy::{CamEnergy, IdleCharge};
 use crate::fifo::Entry;
 use crate::fu::FuTopology;
 use crate::soa::EntryStore;
@@ -171,6 +171,8 @@ pub struct CamIssueQueue {
     tech: TechParams,
     /// Per-cycle selection scratch, reused across cycles.
     candidates: Vec<(u64, Side, u32)>,
+    /// One quiescent cycle's adds: a select charge per non-empty side.
+    idle: IdleCharge,
 }
 
 impl CamIssueQueue {
@@ -199,7 +201,9 @@ impl CamIssueQueue {
             meter: EnergyMeter::new(),
             topology,
             tech,
-            candidates: Vec::new(),
+            // Every entry may be a candidate at once.
+            candidates: Vec::with_capacity(int_entries + fp_entries),
+            idle: IdleCharge::new(&[(Component::Select, 2)]),
         }
     }
 
@@ -337,6 +341,26 @@ impl Scheduler for CamIssueQueue {
 
     fn fu_topology(&self) -> &FuTopology {
         &self.topology
+    }
+
+    /// Nothing in the CAM reads the cycle number, and a rejected dispatch
+    /// charges nothing: an idle cycle repeats until something outside the
+    /// queue changes. Each repeat pays the selection pass — int side, then
+    /// FP side — over the same candidates that could not issue.
+    fn idle_until(&mut self, now: Cycle, limit: Cycle, _stalled: Option<&DispatchInst>) -> Cycle {
+        self.idle.clear();
+        for array in [&self.int, &self.fp] {
+            if array.store.len() > 0 {
+                self.idle.push(
+                    Component::Select,
+                    self.energy_model
+                        .select
+                        .select_energy_pj(&self.tech, array.store.selectable_count()),
+                );
+            }
+        }
+        self.idle.replay(&mut self.meter, limit - now);
+        limit
     }
 }
 

@@ -5,8 +5,9 @@
 //! `diq-power`'s array models. Everything is evaluated once at construction.
 
 use crate::fu::FuTopology;
+use crate::DispatchInst;
 use diq_isa::{FuKind, OpClass};
-use diq_power::{CamSpec, Component, MuxSpec, RamSpec, SelectSpec, TechParams};
+use diq_power::{CamSpec, Component, EnergyMeter, MuxSpec, RamSpec, SelectSpec, TechParams};
 
 /// Payload bits of one issue-queue entry (opcode, physical register tags,
 /// ROB index, control bits) — the RAM half of the paper's Figure 1.
@@ -210,6 +211,76 @@ impl MixEnergy {
             },
             chains_cycle: chains.ported_read_energy_pj(tech) + chains.ported_write_energy_pj(tech),
             reg_write: latch.write_energy_pj(tech),
+        }
+    }
+}
+
+/// The energy adds of one quiescent cycle, for charging the cycles the
+/// pipeline skips ([`Scheduler::idle_until`](crate::Scheduler::idle_until)).
+///
+/// Replay repeats the adds one by one, cycle after cycle, in the order the
+/// cycle made them. Floating-point addition is not associative, so adding
+/// `k × x` once would not be bit-equal to adding `x` k times; replaying is.
+/// Each component is a separate sum, so only the order *within* a
+/// component matters: the adds are kept in one lane per component and
+/// each lane replays into its own running sum
+/// ([`EnergyMeter::add_cycles`]). Lanes are sized at construction, so the
+/// idle path never allocates.
+#[derive(Clone, Debug)]
+pub(crate) struct IdleCharge {
+    lanes: Vec<(Component, Vec<f64>)>,
+}
+
+impl IdleCharge {
+    /// Lanes for the components an idle cycle of the scheme charges, each
+    /// with room for its most adds per cycle.
+    pub(crate) fn new(lanes: &[(Component, usize)]) -> Self {
+        IdleCharge {
+            lanes: lanes
+                .iter()
+                .map(|&(c, adds)| (c, Vec::with_capacity(adds)))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.lanes.iter_mut().for_each(|(_, adds)| adds.clear());
+    }
+
+    /// Appends one add of the idle cycle, in the cycle's own order. A zero
+    /// add is dropped: the sums are never negative, and `x + 0.0 == x`
+    /// for every `x >= +0.0`.
+    pub(crate) fn push(&mut self, component: Component, pj: f64) {
+        if pj == 0.0 {
+            return;
+        }
+        let (_, adds) = self
+            .lanes
+            .iter_mut()
+            .find(|(c, _)| *c == component)
+            .expect("idle-charge lane declared at construction");
+        adds.push(pj);
+    }
+
+    /// The add `EnergyMeter::add_events(component, events, pj)` makes.
+    pub(crate) fn push_events(&mut self, component: Component, events: u64, pj: f64) {
+        self.push(component, events as f64 * pj);
+    }
+
+    /// The steering-table reads a FIFO-steered scheme charges for a
+    /// dispatch attempt of `d` — made even when `d` is rejected, since the
+    /// table is read during rename.
+    pub(crate) fn push_steering_reads(&mut self, d: &DispatchInst, em: &[FifoEnergy; 2]) {
+        let reads = d.src_arch.iter().flatten().count() as u64;
+        self.push_events(Component::Qrename, reads, em[d.side().index()].qrename_read);
+    }
+
+    /// Charges `cycles` more copies of the recorded cycle to `meter`.
+    pub(crate) fn replay(&self, meter: &mut EnergyMeter, cycles: u64) {
+        for (component, adds) in &self.lanes {
+            if !adds.is_empty() {
+                meter.add_cycles(*component, adds, cycles);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! read per operand per cycle, exactly as the physical design polls the
 //! scoreboard.
 
-use crate::energy::FifoEnergy;
+use crate::energy::{FifoEnergy, IdleCharge};
 use crate::fu::FuTopology;
 use crate::soa::EntryStore;
 use crate::wakeup::WakeupMap;
@@ -189,6 +189,14 @@ impl FifoArray {
         })
     }
 
+    /// One cycle's head polls, as the selection pass charges them: a
+    /// `regs_ready` read per present operand of every unheld head.
+    pub(crate) fn push_head_polls(&self, idle: &mut IdleCharge, em: &FifoEnergy) {
+        for (_, e) in self.heads() {
+            idle.push_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
+        }
+    }
+
     /// Marks the head of queue `q` as held after a speculative issue: it
     /// keeps its slot (dispatch still sees a full entry) but stops being a
     /// selection candidate until [`cancel`](Self::cancel) reverts it.
@@ -312,6 +320,9 @@ pub struct IssueFifo {
     meter: EnergyMeter,
     topology: FuTopology,
     candidates: Vec<(u64, Side, usize, Entry)>,
+    /// One quiescent cycle's adds: a head poll per FIFO, one rejected
+    /// dispatch.
+    idle: IdleCharge,
 }
 
 impl IssueFifo {
@@ -337,7 +348,13 @@ impl IssueFifo {
             ],
             meter: EnergyMeter::new(),
             topology,
-            candidates: Vec::new(),
+            // At most one candidate per FIFO head: sized up front so a
+            // late record of simultaneously ready heads never reallocates.
+            candidates: Vec::with_capacity(int.0 + fp.0),
+            idle: IdleCharge::new(&[
+                (Component::RegsReady, int.0 + fp.0),
+                (Component::Qrename, 1),
+            ]),
         }
     }
 
@@ -435,6 +452,22 @@ impl Scheduler for IssueFifo {
 
     fn fu_topology(&self) -> &FuTopology {
         &self.topology
+    }
+
+    /// Nothing here reads the cycle number: an idle cycle repeats until
+    /// something outside the queues changes. Each repeat polls every head's
+    /// operands, then re-presents the stalled instruction, whose steering
+    /// table reads are charged even though it is rejected again.
+    fn idle_until(&mut self, now: Cycle, limit: Cycle, stalled: Option<&DispatchInst>) -> Cycle {
+        self.idle.clear();
+        for array in [&self.int, &self.fp] {
+            array.push_head_polls(&mut self.idle, &self.energy_model[array.side().index()]);
+        }
+        if let Some(d) = stalled {
+            self.idle.push_steering_reads(d, &self.energy_model);
+        }
+        self.idle.replay(&mut self.meter, limit - now);
+        limit
     }
 }
 

@@ -213,7 +213,8 @@ impl LatFifo {
             ],
             meter: EnergyMeter::new(),
             topology,
-            candidates: Vec::new(),
+            // At most one candidate per FIFO head (see `IssueFifo`).
+            candidates: Vec::with_capacity(int.0 + fp.0),
         }
     }
 }

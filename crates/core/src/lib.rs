@@ -183,7 +183,11 @@ pub trait IssueSink {
 ///    miss: [`cancel`](Scheduler::cancel) with the load's tag — entries
 ///    that consumed the speculative wakeup revert to waiting and held
 ///    entries return to queued state; the true fill later arrives through
-///    the ordinary [`on_result`](Scheduler::on_result).
+///    the ordinary [`on_result`](Scheduler::on_result);
+/// 6. after a cycle in which no pipeline stage changed state (nothing
+///    committed, completed, started, issued, dispatched or fetched):
+///    [`idle_until`](Scheduler::idle_until), so the pipeline can jump over
+///    the following cycles that would repeat it exactly.
 pub trait Scheduler {
     /// Short display name (`IQ_64_64`, `IF_distr`, `MB_distr`, …).
     fn name(&self) -> &str;
@@ -257,5 +261,30 @@ pub trait Scheduler {
     /// default).
     fn adaptive_stats(&self) -> (u64, u64) {
         (0, 0)
+    }
+
+    /// Quiescent-cycle fast-forward. The cycle `now - 1` just ran and
+    /// changed no state: the scheduler selected nothing that issued, and
+    /// `stalled`, if given, is the instruction it rejected at dispatch
+    /// (`None` when dispatch stalled before reaching the scheduler, or had
+    /// nothing to dispatch). Nothing outside the scheduler changes before
+    /// `limit` — the pipeline's next event, fetch restart, unit release or
+    /// deadlock check.
+    ///
+    /// Returns the first cycle `t` in `now..=limit` that must run
+    /// normally: the scheme's own next timed change, or `limit`. Before
+    /// returning, the scheme charges cycles `now..t` exactly as cycle
+    /// `now - 1` was charged — the selection pass's adds, then the failed
+    /// dispatch attempt's — replayed add by add, never multiplied out.
+    ///
+    /// The default skips nothing (returns `now`). It is kept by the frozen
+    /// scan twins in [`reference`](mod@reference), which are the golden
+    /// proof's oracle and so must run every cycle; by [`AdaptiveCamIssueQueue`], whose bank
+    /// controller samples occupancy and advances its epoch every cycle; by
+    /// [`LatFifo`], whose FP placement compares issue-time estimates with
+    /// the current cycle; and by wrapping schedulers that do not forward
+    /// this call, which therefore run every cycle as before.
+    fn idle_until(&mut self, now: Cycle, _limit: Cycle, _stalled: Option<&DispatchInst>) -> Cycle {
+        now
     }
 }

@@ -25,7 +25,7 @@
 //! possible winner. Readiness is tracked by per-tag consumer lists; energy
 //! is still charged per the physical per-cycle structure accesses.
 
-use crate::energy::{FifoEnergy, MixEnergy};
+use crate::energy::{FifoEnergy, IdleCharge, MixEnergy};
 use crate::fifo::{Entry, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
@@ -292,6 +292,18 @@ impl MixQueues {
     fn clear_steering(&mut self) {
         self.steer.iter_mut().for_each(|s| *s = None);
     }
+
+    /// The first cycle `>= from` at which some chain's latency code or
+    /// reallocatability changes: a chain's code moves from `11` to `00` at
+    /// its `ready` cycle and to `01` one cycle later, and an empty chain
+    /// becomes free at `ready`. `None` if every chain settled before `from`.
+    fn next_code_change(&self, from: Cycle) -> Option<Cycle> {
+        self.chains
+            .iter()
+            .flatten()
+            .filter_map(|ch| [ch.ready, ch.ready + 1].into_iter().find(|&t| t >= from))
+            .min()
+    }
 }
 
 /// The `MixBUFF` scheduler (`MB_distr` when configured with distributed
@@ -319,6 +331,10 @@ pub struct MixBuff {
     topology: FuTopology,
     candidates: Vec<(u64, usize, Entry)>,
     winners: Vec<(u64, usize, usize, Entry)>,
+    /// One quiescent cycle's adds: integer head polls, per live FP queue a
+    /// chain-table access and a selection pass, the FP winners' polls, one
+    /// rejected dispatch.
+    idle: IdleCharge,
 }
 
 impl MixBuff {
@@ -349,8 +365,15 @@ impl MixBuff {
             mix_energy: MixEnergy::new(fp.1, chains_per_queue, &tech),
             meter: EnergyMeter::new(),
             topology,
-            candidates: Vec::new(),
-            winners: Vec::new(),
+            // One candidate per integer FIFO head, one winner per FP queue.
+            candidates: Vec::with_capacity(int.0),
+            winners: Vec::with_capacity(fp.0),
+            idle: IdleCharge::new(&[
+                (Component::RegsReady, int.0 + fp.0),
+                (Component::Chains, fp.0),
+                (Component::Select, fp.0),
+                (Component::Qrename, 1),
+            ]),
         }
     }
 
@@ -502,6 +525,56 @@ impl Scheduler for MixBuff {
     fn fu_topology(&self) -> &FuTopology {
         &self.topology
     }
+
+    /// The FP side reads the cycle number through the chain latency codes
+    /// (selection) and chain reallocation (dispatch), so an idle cycle
+    /// repeats only until the next code change. Each repeat charges what
+    /// `issue_cycle` charged — integer head polls, each live FP queue's
+    /// chain table and selection pass, the FP winners' operand polls in
+    /// age order — then the stalled instruction's steering-table reads.
+    fn idle_until(&mut self, now: Cycle, limit: Cycle, stalled: Option<&DispatchInst>) -> Cycle {
+        let wake = self
+            .fp
+            .next_code_change(now)
+            .map_or(limit, |t| t.min(limit));
+        if wake == now {
+            return now;
+        }
+        self.idle.clear();
+        self.int
+            .push_head_polls(&mut self.idle, &self.energy_model[Side::Int.index()]);
+        let mut winners = std::mem::take(&mut self.winners);
+        winners.clear();
+        for q in 0..self.fp.queues() {
+            let occupancy = self.fp.queue_len[q];
+            if occupancy == 0 {
+                continue;
+            }
+            self.idle
+                .push(Component::Chains, self.mix_energy.chains_cycle);
+            self.idle.push(
+                Component::Select,
+                self.mix_energy
+                    .select
+                    .select_energy_pj(&TechParams::um100(), occupancy),
+            );
+            if let Some((c, e)) = self.fp.select(q, now) {
+                winners.push((e.id.0, q, c, e));
+            }
+        }
+        winners.sort_unstable_by_key(|w| w.0);
+        let em_fp = self.energy_model[Side::Fp.index()];
+        for &(_, _, _, e) in &winners {
+            self.idle
+                .push_events(Component::RegsReady, e.nsrc(), em_fp.regs_ready_read);
+        }
+        self.winners = winners;
+        if let Some(d) = stalled {
+            self.idle.push_steering_reads(d, &self.energy_model);
+        }
+        self.idle.replay(&mut self.meter, wake - now);
+        wake
+    }
 }
 
 #[cfg(test)]
@@ -623,6 +696,25 @@ mod tests {
         m.chains[0][1].ready = 5; // finishing now (code 00 at now=5)
         let (_, e) = m.select(0, 5).expect("winner");
         assert_eq!(e.id, InstId(9), "fresh (00) beats delayed (01)");
+    }
+
+    #[test]
+    fn code_changes_wake_at_ready_and_one_cycle_later() {
+        // The young chain wins at its `ready` (code 00) but loses to the
+        // older one a cycle later, when both read 01: an idle cycle at
+        // `ready` does not repeat at `ready + 1`, so the skip stops there.
+        let mut m = MixQueues::new(1, 8, 2, true, [512, 512]);
+        m.try_dispatch(&fp_di(1, OpClass::FpAdd, Some(4), [None, None]), 0)
+            .unwrap();
+        m.try_dispatch(&fp_di(9, OpClass::FpAdd, Some(5), [None, None]), 0)
+            .unwrap();
+        m.chains[0][0].ready = 0;
+        m.chains[0][1].ready = 5;
+        assert_eq!(m.select(0, 5).expect("winner").1.id, InstId(9));
+        assert_eq!(m.select(0, 6).expect("winner").1.id, InstId(1));
+        assert_eq!(m.next_code_change(3), Some(5));
+        assert_eq!(m.next_code_change(6), Some(6));
+        assert_eq!(m.next_code_change(7), None);
     }
 
     #[test]

@@ -191,12 +191,12 @@ impl EntryStore {
     }
 
     /// Number of selectable entries (see [`for_each_selectable`]). The
-    /// schemes count candidates during the selection pass itself — one
-    /// bitset scan serves selection and the select-energy charge — so
-    /// this independent recount exists for tests to cross-check against.
+    /// selection pass counts its candidates as it gathers them — one
+    /// bitset scan serves selection and the select-energy charge — so this
+    /// recount serves the idle charge, where nothing is gathered, and the
+    /// tests' cross-checks.
     ///
     /// [`for_each_selectable`]: EntryStore::for_each_selectable
-    #[cfg(test)]
     pub(crate) fn selectable_count(&self) -> usize {
         self.live
             .iter()

@@ -25,6 +25,13 @@ impl FuState {
         }
     }
 
+    /// The earliest cycle `>= from` at which an unpipelined unit that is
+    /// busy before `from` frees — when an instruction blocked on it could
+    /// issue. `None` if no unit is busy at `from - 1`.
+    pub(crate) fn next_free(&self, from: Cycle) -> Option<Cycle> {
+        self.busy_until.iter().copied().filter(|&t| t >= from).min()
+    }
+
     /// Resets the per-cycle grant flags.
     fn begin_cycle(&mut self) {
         self.unit_used.fill(false);
@@ -151,6 +158,9 @@ struct EventNode {
 /// Sentinel "no node" index for [`EventNode::next`] and the slot heads.
 const NIL: u32 = u32::MAX;
 
+/// Words of the slot-occupancy bitmap (one bit per wheel slot).
+const OCCUPANCY_WORDS: usize = WHEEL_SLOTS / 64;
+
 /// A time-ordered completion event queue.
 ///
 /// Implemented as a calendar wheel: events land in the slot of their due
@@ -176,10 +186,16 @@ const NIL: u32 = u32::MAX;
 /// was squashed (and its id possibly reissued to a correct-path successor),
 /// so the event is dead. Without speculation every token matches and the
 /// behaviour is exactly the pre-token queue's.
+///
+/// A one-bit-per-slot occupancy bitmap makes [`next_at`](Self::next_at) a
+/// scan of 16 words rather than of the wheel: the quiescent-cycle
+/// fast-forward asks for the next event once per skip.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     /// Head node index per wheel slot ([`NIL`] when the slot is empty).
     heads: Box<[u32; WHEEL_SLOTS]>,
+    /// Bit `s` set iff wheel slot `s` holds at least one event.
+    occupied: [u64; OCCUPANCY_WORDS],
     /// Shared node arena; grows to the peak live-event count, then stops.
     nodes: Vec<EventNode>,
     /// Head of the intrusive free list threaded through `nodes[..].next`.
@@ -194,6 +210,7 @@ impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             heads: Box::new([NIL; WHEEL_SLOTS]),
+            occupied: [0; OCCUPANCY_WORDS],
             nodes: Vec::new(),
             free: NIL,
             floor: 0,
@@ -239,6 +256,7 @@ impl EventQueue {
                 idx
             };
             self.heads[slot] = idx;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
             self.overflow.push(Reverse((at, id.0, kind, token)));
         }
@@ -255,6 +273,7 @@ impl EventQueue {
             let slot = (t as usize) % WHEEL_SLOTS;
             let mut idx = self.heads[slot];
             self.heads[slot] = NIL;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
             while idx != NIL {
                 let node = self.nodes[idx as usize];
                 out.push((InstId(node.id), node.token, node.kind));
@@ -275,17 +294,40 @@ impl EventQueue {
         self.len -= out.len();
     }
 
-    /// Earliest pending event time (drain diagnostics; O(wheel)).
+    /// Earliest pending event time: the first occupied wheel slot at or
+    /// after the floor (a circular scan of the occupancy bitmap), or the
+    /// overflow heap's minimum, whichever is sooner.
     pub(crate) fn next_at(&self) -> Option<Cycle> {
-        let mut earliest = self.overflow.peek().map(|Reverse((at, _, _, _))| *at);
-        for dt in 0..WHEEL_SLOTS as u64 {
-            let t = self.floor + dt;
-            if self.heads[(t as usize) % WHEEL_SLOTS] != NIL {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-                break;
-            }
+        let overflow = self.overflow.peek().map(|Reverse((at, _, _, _))| *at);
+        let start = (self.floor as usize) % WHEEL_SLOTS;
+        let first = start / 64;
+        // The start word masked to slots >= start, every other word, then
+        // the start word again masked to slots < start (the wrapped tail).
+        let wheel = (0..=OCCUPANCY_WORDS).find_map(|i| {
+            let w = (first + i) % OCCUPANCY_WORDS;
+            let bits = match i {
+                0 => self.occupied[w] & (!0u64 << (start % 64)),
+                OCCUPANCY_WORDS => self.occupied[w] & ((1u64 << (start % 64)) - 1),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                self.floor + ((slot + WHEEL_SLOTS - start) % WHEEL_SLOTS) as u64
+            })
+        });
+        match (wheel, overflow) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        earliest
+    }
+
+    /// Moves the floor to `to` without walking the slots in between. The
+    /// caller guarantees nothing is due before `to` (`next_at() >= to`), so
+    /// every wheel event stays within `[to, to + WHEEL_SLOTS)` and its slot
+    /// still names its cycle.
+    pub(crate) fn advance_to(&mut self, to: Cycle) {
+        debug_assert!(self.next_at().is_none_or(|t| t >= to), "skipped an event");
+        self.floor = self.floor.max(to);
     }
 
     #[cfg(test)]
@@ -310,6 +352,71 @@ mod tests {
         q.drain_due(5, &mut due);
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].0, InstId(2));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn next_at_finds_the_wheel_event_across_wrap_around() {
+        let mut q = EventQueue::default();
+        let mut due = Vec::new();
+        // Floor near the end of the wheel; the event's slot wraps to the
+        // front (slot 6 is numerically below the floor's slot 1020).
+        q.drain_due(1019, &mut due);
+        q.schedule(1030, InstId(1), 0, EventKind::Complete);
+        assert_eq!(q.next_at(), Some(1030));
+        // A later event further round the wheel (slot 1016) loses.
+        q.schedule(2040, InstId(2), 0, EventKind::Complete);
+        assert_eq!(q.next_at(), Some(1030));
+        q.drain_due(1030, &mut due);
+        assert_eq!(due.len(), 1);
+        assert_eq!(q.next_at(), Some(2040));
+        q.drain_due(2040, &mut due);
+        assert_eq!(q.next_at(), None);
+        // The slot just below the floor's (the last of the lap) is found.
+        q.schedule(2041 + 1023, InstId(3), 0, EventKind::Complete);
+        assert_eq!(q.next_at(), Some(2041 + 1023));
+    }
+
+    #[test]
+    fn next_at_sees_an_event_only_in_the_overflow_heap() {
+        let mut q = EventQueue::default();
+        q.schedule(5_000, InstId(1), 0, EventKind::Complete);
+        assert_eq!(q.next_at(), Some(5_000), "beyond the wheel: overflow only");
+        let mut due = Vec::new();
+        q.drain_due(4_999, &mut due);
+        assert!(due.is_empty());
+        q.drain_due(5_000, &mut due);
+        assert_eq!(due.len(), 1);
+        assert_eq!(q.next_at(), None);
+    }
+
+    #[test]
+    fn next_at_takes_the_earlier_of_wheel_and_overflow() {
+        let mut q = EventQueue::default();
+        q.schedule(3_000, InstId(1), 0, EventKind::Complete); // overflow
+        q.schedule(700, InstId(2), 0, EventKind::Complete); // wheel
+        assert_eq!(q.next_at(), Some(700));
+        let mut due = Vec::new();
+        q.drain_due(2_500, &mut due);
+        assert_eq!(due.len(), 1);
+        // Now the overflow event is within a wheel lap but still in the
+        // heap, and a later wheel event exists: the heap's wins.
+        q.schedule(3_100, InstId(3), 0, EventKind::Complete);
+        assert_eq!(q.next_at(), Some(3_000));
+    }
+
+    #[test]
+    fn advance_to_skips_empty_slots_and_keeps_order() {
+        let mut q = EventQueue::default();
+        let mut due = Vec::new();
+        q.schedule(900, InstId(1), 0, EventKind::Complete);
+        q.schedule(1500, InstId(2), 0, EventKind::Complete); // overflow
+        q.advance_to(900);
+        q.drain_due(900, &mut due);
+        assert_eq!(due.len(), 1);
+        q.advance_to(1500);
+        q.drain_due(1500, &mut due);
+        assert_eq!(due, vec![(InstId(2), 0, EventKind::Complete)]);
         assert!(q.is_empty());
     }
 

@@ -281,6 +281,14 @@ pub struct Simulator {
     /// `SimStats::stall_reasons` at the end of a run (a `BTreeMap` string
     /// bump per stalled cycle is an allocation the hot loop can't afford).
     stall_counts: [u64; STALL_LABELS.len()],
+    /// The last cycle's dispatch stall: its [`STALL_LABELS`] index, plus
+    /// the instruction the scheduler rejected (`None` for ROB and register
+    /// stalls, which never reach the scheduler). A skipped cycle repeats it.
+    dispatch_stall: Option<(usize, Option<DispatchInst>)>,
+    /// Cycles jumped over by the quiescent-cycle fast-forward, over the
+    /// simulator's life (kept out of `SimStats`: results do not depend on
+    /// whether cycles were skipped).
+    fast_forwarded: u64,
 }
 
 /// Stall-reason display labels, in counter-index order.
@@ -350,6 +358,8 @@ impl Simulator {
             stores_done_scratch: Vec::with_capacity(cfg.rob_entries),
             pending_loads_scratch: Vec::with_capacity(cfg.rob_entries),
             stall_counts: [0; STALL_LABELS.len()],
+            dispatch_stall: None,
+            fast_forwarded: 0,
         }
     }
 
@@ -392,13 +402,16 @@ impl Simulator {
         self.batch.clear();
         let mut trace_done = false;
         while self.stats.committed < commit_target {
-            self.cycle(workload, &mut trace_done);
+            let progress = self.cycle(workload, &mut trace_done);
             if trace_done
                 && self.rob.is_empty()
                 && self.fetch_queue.is_empty()
                 && self.pending_fetch.is_none()
             {
                 break;
+            }
+            if !progress {
+                self.fast_forward();
             }
             assert!(
                 self.now - self.last_commit_at < DEADLOCK_LIMIT,
@@ -419,6 +432,14 @@ impl Simulator {
         self.stall_counts = [0; STALL_LABELS.len()];
         let fresh = SimStats::new(&self.stats.scheme, &self.stats.benchmark);
         std::mem::replace(&mut self.stats, fresh)
+    }
+
+    /// Cycles the quiescent-cycle fast-forward has jumped over since this
+    /// simulator was built — charged exactly, so no statistic depends on
+    /// it; tests use it to prove the skip actually happens.
+    #[must_use]
+    pub fn fast_forwarded_cycles(&self) -> u64 {
+        self.fast_forwarded
     }
 
     /// Takes (and resets) the per-stage wall-clock profile accumulated by
@@ -471,33 +492,83 @@ impl Simulator {
         &mut self.rob[idx]
     }
 
-    fn cycle<W>(&mut self, src: &mut W, trace_done: &mut bool)
+    /// Runs one cycle and reports whether any stage changed state. Each
+    /// stage reports its own progress: a cycle can drain one event and
+    /// schedule another, so no before/after counter comparison can tell.
+    fn cycle<W>(&mut self, src: &mut W, trace_done: &mut bool) -> bool
     where
         W: Workload + ?Sized,
     {
         let mut t = StageTimer::start();
-        self.commit_stage();
+        let mut progress = self.commit_stage();
         t.lap(&mut self.profile, stage::COMMIT);
-        self.writeback_stage(src);
+        progress |= self.writeback_stage(src);
         t.lap(&mut self.profile, stage::WRITEBACK);
-        self.memory_stage();
+        progress |= self.memory_stage();
         t.lap(&mut self.profile, stage::MEMORY);
-        self.issue_stage();
+        progress |= self.issue_stage();
         t.lap(&mut self.profile, stage::ISSUE);
-        self.dispatch_stage();
+        progress |= self.dispatch_stage();
         t.lap(&mut self.profile, stage::RENAME_DISPATCH);
-        self.fetch_stage(src, trace_done);
+        progress |= self.fetch_stage(src, trace_done);
         t.lap(&mut self.profile, stage::FETCH);
         self.profile.cycles += 1;
         let (oi, of) = self.sched.occupancy();
         self.stats.occupancy_int.record(oi as u64);
         self.stats.occupancy_fp.record(of as u64);
         self.now += 1;
+        progress
+    }
+
+    // ---- quiescent-cycle fast-forward ----------------------------------
+
+    /// After a cycle that changed no state, every following cycle repeats
+    /// it exactly until something timed happens: a completion event, the
+    /// end of a fetch stall, an unpipelined unit freeing, a change the
+    /// scheduler times itself (MixBUFF's chain codes), or the deadlock
+    /// check. Jumps `now` to the earliest of those, charging the skipped
+    /// cycles what the idle cycle charged: its occupancy samples, its
+    /// dispatch stall, and (through [`Scheduler::idle_until`]) its
+    /// scheduler energy.
+    fn fast_forward(&mut self) {
+        let now = self.now;
+        let mut limit = self.last_commit_at + DEADLOCK_LIMIT;
+        if let Some(t) = self.events.next_at() {
+            limit = limit.min(t);
+        }
+        if self.fetch_stalled_until >= now {
+            limit = limit.min(self.fetch_stalled_until);
+        }
+        if let Some(t) = self.fu.next_free(now) {
+            limit = limit.min(t);
+        }
+        if limit <= now {
+            return;
+        }
+        let stalled = self.dispatch_stall.and_then(|(_, d)| d);
+        let wake = self.sched.idle_until(now, limit, stalled.as_ref());
+        debug_assert!((now..=limit).contains(&wake), "idle_until out of range");
+        let skipped = wake - now;
+        if skipped == 0 {
+            return;
+        }
+        let (oi, of) = self.sched.occupancy();
+        self.stats.occupancy_int.record_n(oi as u64, skipped);
+        self.stats.occupancy_fp.record_n(of as u64, skipped);
+        if let Some((reason, _)) = self.dispatch_stall {
+            self.stall_counts[reason] += skipped;
+            self.stats.dispatch_stall_cycles += skipped;
+        }
+        self.profile.cycles += skipped;
+        self.events.advance_to(wake);
+        self.fast_forwarded += skipped;
+        self.now = wake;
     }
 
     // ---- commit ------------------------------------------------------
 
-    fn commit_stage(&mut self) {
+    fn commit_stage(&mut self) -> bool {
+        let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
             if !head.completed {
@@ -521,16 +592,19 @@ impl Simulator {
             }
             self.last_commit_at = self.now;
         }
+        self.stats.committed != before
     }
 
     // ---- writeback ----------------------------------------------------
 
-    fn writeback_stage<W>(&mut self, src: &mut W)
+    fn writeback_stage<W>(&mut self, src: &mut W) -> bool
     where
         W: Workload + ?Sized,
     {
         let mut due = std::mem::take(&mut self.due_scratch);
         self.events.drain_due(self.now, &mut due);
+        // Even a dead event's drain counts: it is cheap to be conservative.
+        let mut progress = !due.is_empty();
         for &(id, token, kind) in &due {
             // A token mismatch means the instruction this event belonged to
             // was squashed (and its id possibly reissued on the correct
@@ -672,8 +746,10 @@ impl Simulator {
                 self.lsq.store_data_ready(id);
                 self.rob_entry_mut(id).completed = true;
             }
+            progress |= !done.is_empty();
             self.stores_done_scratch = done;
         }
+        progress
     }
 
     // ---- mispredict recovery ------------------------------------------
@@ -765,9 +841,12 @@ impl Simulator {
 
     // ---- memory -------------------------------------------------------
 
-    fn memory_stage(&mut self) {
+    fn memory_stage(&mut self) -> bool {
         let mut pending = std::mem::take(&mut self.pending_loads_scratch);
         self.lsq.pending_load_actions_into(&mut pending);
+        // Only waiting loads is quiescent; the first access of a cycle
+        // always gets a port, so any other action starts a load.
+        let progress = pending.iter().any(|&(_, a)| a != LoadAction::Wait);
         for &(id, action) in &pending {
             match action {
                 LoadAction::Wait => {}
@@ -810,11 +889,12 @@ impl Simulator {
             }
         }
         self.pending_loads_scratch = pending;
+        progress
     }
 
     // ---- issue --------------------------------------------------------
 
-    fn issue_stage(&mut self) {
+    fn issue_stage(&mut self) -> bool {
         let mut accepted = std::mem::take(&mut self.accepted_scratch);
         {
             let mut sink = CycleSink::new(
@@ -905,27 +985,28 @@ impl Simulator {
                 }
             }
         }
+        let progress = !accepted.is_empty();
         self.accepted_scratch = accepted;
+        progress
     }
 
     // ---- dispatch / rename ---------------------------------------------
 
-    fn dispatch_stage(&mut self) {
-        let mut stalled = false;
+    fn dispatch_stage(&mut self) -> bool {
+        let mut stall = None;
+        let mut dispatched = false;
         for _ in 0..self.cfg.decode_width {
             let Some(fetched) = self.fetch_queue.front().copied() else {
                 break;
             };
             if self.rob.len() >= self.cfg.rob_entries {
-                self.stall_counts[0] += 1; // rob_full
-                stalled = true;
+                stall = Some((0, None)); // rob_full
                 break;
             }
             let inst = fetched.inst;
             if let Some(dst) = inst.dst {
                 if self.rename.peek_allocate(dst.class()).is_none() {
-                    self.stall_counts[1] += 1; // no_phys_reg
-                    stalled = true;
+                    stall = Some((1, None)); // no_phys_reg
                     break;
                 }
             }
@@ -966,16 +1047,17 @@ impl Simulator {
                 dst_arch: inst.dst,
             };
             if let Err(reason) = self.sched.try_dispatch(&di, self.now) {
-                self.stall_counts[match reason {
+                let index = match reason {
                     diq_core::DispatchStall::QueueFull => 2,
                     diq_core::DispatchStall::NoEmptyQueue => 3,
                     diq_core::DispatchStall::NoFreeChain => 4,
                     diq_core::DispatchStall::Full => 5,
-                }] += 1;
-                stalled = true;
+                };
+                stall = Some((index, Some(di)));
                 break;
             }
             // Commit the dispatch.
+            dispatched = true;
             self.fetch_queue.pop_front();
             let prev_mapping = inst.dst.map(|d| {
                 let (new, prev) = self.rename.allocate(d);
@@ -1029,19 +1111,22 @@ impl Simulator {
                 },
             );
         }
-        if stalled {
+        if let Some((index, _)) = stall {
+            self.stall_counts[index] += 1;
             self.stats.dispatch_stall_cycles += 1;
         }
+        self.dispatch_stall = stall;
+        dispatched
     }
 
     // ---- fetch ----------------------------------------------------------
 
     /// Refills the micro-batch buffer with up to a fetch-width group from
-    /// the workload. Returns `false` when the source is drained — or, for a
-    /// speculative source on the correct path, when the fetch budget is
-    /// exhausted (wrong-path pulls are free: they are replayed from the
-    /// checkpoint, not consumed).
-    fn refill_batch<W>(&mut self, src: &mut W) -> bool
+    /// the workload and returns how many instructions it pulled — `None`
+    /// without asking the source when, for a speculative source on the
+    /// correct path, the fetch budget is exhausted (wrong-path pulls are
+    /// free: they are replayed from the checkpoint, not consumed).
+    fn refill_batch<W>(&mut self, src: &mut W) -> Option<usize>
     where
         W: Workload + ?Sized,
     {
@@ -1054,22 +1139,23 @@ impl Simulator {
             self.cfg.fetch_width
         };
         if max == 0 {
-            return false;
+            return None;
         }
         let n = src.fill(&mut self.batch, max);
         if counted {
             self.correct_fetched += n as u64;
         }
-        n > 0
+        Some(n)
     }
 
-    fn fetch_stage<W>(&mut self, src: &mut W, trace_done: &mut bool)
+    fn fetch_stage<W>(&mut self, src: &mut W, trace_done: &mut bool) -> bool
     where
         W: Workload + ?Sized,
     {
         if self.waiting_mispredict || self.now < self.fetch_stalled_until {
-            return;
+            return false;
         }
+        let mut progress = false;
         let speculating = self.cfg.wrong_path && src.speculative();
         let line_shift = self.cfg.mem.il1.line_bytes.trailing_zeros();
         for _ in 0..self.cfg.fetch_width {
@@ -1080,15 +1166,21 @@ impl Simulator {
                 Some(i) => i,
                 None => match self.batch.pop_front() {
                     Some(i) => i,
-                    None => {
-                        if !self.refill_batch(src) {
+                    None => match self.refill_batch(src) {
+                        Some(n) if n > 0 => self.batch.pop_front().expect("refill delivered"),
+                        pulled => {
+                            // Asking a drained source again is a call the
+                            // source sees (a plain iterator need not be
+                            // fused), so only a budget-bound source that
+                            // already ran dry is quiet.
+                            progress |= pulled.is_some() || !*trace_done;
                             *trace_done = true;
                             break;
                         }
-                        self.batch.pop_front().expect("refill delivered")
-                    }
+                    },
                 },
             };
+            progress = true;
             // Instruction cache: one probe per new line touched.
             let line = inst.pc >> line_shift;
             if line != self.last_fetch_line {
@@ -1178,6 +1270,7 @@ impl Simulator {
                 break;
             }
         }
+        progress
     }
 }
 

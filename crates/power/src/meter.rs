@@ -137,6 +137,23 @@ impl EnergyMeter {
         self.add(component, events as f64 * pj_per_event);
     }
 
+    /// Adds each value of `per_cycle` to `component`, in order, and repeats
+    /// that `cycles` times — bit-identical to `cycles × per_cycle.len()`
+    /// calls of [`add`](Self::add), because the additions happen one by
+    /// one in the same order (floating-point addition does not
+    /// reassociate, so this is never `cycles × sum`). The sum stays in a
+    /// register instead of round-tripping through memory per add.
+    pub fn add_cycles(&mut self, component: Component, per_cycle: &[f64], cycles: u64) {
+        let mut acc = self.pj[component.idx()];
+        for _ in 0..cycles {
+            for &pj in per_cycle {
+                debug_assert!(pj >= 0.0, "negative energy");
+                acc += pj;
+            }
+        }
+        self.pj[component.idx()] = acc;
+    }
+
     /// Energy of one component (pJ).
     #[must_use]
     pub fn get(&self, component: Component) -> f64 {
@@ -217,6 +234,35 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.add_events(Component::Select, 10, 0.5);
         assert_eq!(m.get(Component::Select), 5.0);
+    }
+
+    #[test]
+    fn add_cycles_is_bit_identical_to_single_adds() {
+        // Values whose sums round differently depending on grouping.
+        let per_cycle = [0.1, 1e-3, 7.7e5, 0.3];
+        let mut single = EnergyMeter::new();
+        let mut replayed = EnergyMeter::new();
+        for m in [&mut single, &mut replayed] {
+            m.add(Component::RegsReady, 1.0 / 3.0);
+        }
+        for _ in 0..1000 {
+            for &pj in &per_cycle {
+                single.add(Component::RegsReady, pj);
+            }
+        }
+        replayed.add_cycles(Component::RegsReady, &per_cycle, 1000);
+        assert_eq!(
+            replayed.get(Component::RegsReady).to_bits(),
+            single.get(Component::RegsReady).to_bits()
+        );
+        // Multiplying out is not the same sum — the reason to replay.
+        let mut multiplied = EnergyMeter::new();
+        multiplied.add(Component::RegsReady, 1.0 / 3.0);
+        multiplied.add(Component::RegsReady, 1000.0 * per_cycle.iter().sum::<f64>());
+        assert_ne!(
+            multiplied.get(Component::RegsReady).to_bits(),
+            single.get(Component::RegsReady).to_bits()
+        );
     }
 
     #[test]

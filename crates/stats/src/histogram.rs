@@ -57,6 +57,21 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Records `n` samples of `value` at once — bucket for bucket, count,
+    /// sum and max exactly as `n` calls of [`record`](Histogram::record)
+    /// (integer state, so one multiply is exact). `n == 0` records nothing.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let idx = (value as usize).min(self.buckets.len() - 1);
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum += value * n;
+        self.max = self.max.max(value);
+    }
+
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -165,6 +180,33 @@ mod tests {
         assert_eq!(h.bucket(1), 2);
         assert_eq!(h.overflow(), 2); // 2 and 5 both land at/after cap
         assert_eq!(h.max(), 5);
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        for (value, n) in [(0, 1), (3, 7), (4, 5), (99, 3), (2, 0), (1, 1000)] {
+            let mut batched = Histogram::new(4);
+            let mut single = Histogram::new(4);
+            // A non-empty prefix, so max/sum/percentile interplay shows.
+            for h in [&mut batched, &mut single] {
+                h.record(1);
+                h.record(6);
+            }
+            batched.record_n(value, n);
+            for _ in 0..n {
+                single.record(value);
+            }
+            assert_eq!(batched, single, "record_n({value}, {n})");
+            for p in [0.0, 25.0, 50.0, 90.0, 100.0] {
+                assert_eq!(batched.percentile(p), single.percentile(p));
+            }
+            assert_eq!(batched.count(), single.count());
+            assert_eq!(batched.max(), single.max());
+            assert_eq!(batched.mean().to_bits(), single.mean().to_bits());
+        }
+        let mut empty = Histogram::new(4);
+        empty.record_n(9, 0);
+        assert_eq!(empty, Histogram::new(4), "n = 0 leaves max untouched");
     }
 
     #[test]

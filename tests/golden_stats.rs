@@ -548,3 +548,189 @@ fn run_workload_is_deterministic_on_both_workload_shapes() {
     let second = b.run_workload(&mut TraceGenerator::new(&spec), 3_000);
     assert_eq!(first, second, "program path diverged");
 }
+
+/// The quiescent-cycle fast-forward's exactness proof: the event-driven
+/// scheduler (which lets the pipeline skip idle cycles) against its scan
+/// twin (which never does), on the miss-bound workloads where most cycles
+/// are idle, under all four speculation modes. Returns the event run's
+/// statistics and the number of cycles it skipped.
+fn assert_identical_fast_forwarding(
+    sched: &SchedulerConfig,
+    bench: &str,
+    n: u64,
+    wrong_path: bool,
+    load_hit_speculation: bool,
+) -> (SimStats, u64) {
+    let mut cfg = ProcessorConfig::hpca2004();
+    cfg.wrong_path = wrong_path;
+    cfg.load_hit_speculation = load_hit_speculation;
+    let spec = suite::by_name(bench).unwrap();
+    let run = |scan: bool| -> (SimStats, u64) {
+        let scheduler = if scan {
+            sched.build_scan(&cfg)
+        } else {
+            sched.build(&cfg)
+        };
+        let mut sim = Simulator::with_scheduler(&cfg, scheduler);
+        sim.set_benchmark(bench);
+        let stats = if wrong_path {
+            sim.run_workload(&mut TraceGenerator::new(&spec), n)
+        } else {
+            sim.run_workload(&mut TraceSource::new(spec.generate(n as usize)), n)
+        };
+        (stats, sim.fast_forwarded_cycles())
+    };
+    let ((fast, skipped), (scan, scan_skipped)) = std::thread::scope(|s| {
+        let fast = s.spawn(|| run(false));
+        let scan = s.spawn(|| run(true));
+        (fast.join().unwrap(), scan.join().unwrap())
+    });
+    let mode = format!("wp={wrong_path} lhs={load_hit_speculation}");
+    assert_eq!(
+        scan_skipped,
+        0,
+        "{}/{bench} ({mode}): a scan twin skipped",
+        sched.label()
+    );
+    assert_eq!(
+        fast.cycles,
+        scan.cycles,
+        "{}/{bench} ({mode}): cycles",
+        sched.label()
+    );
+    for (c, pj) in fast.energy.breakdown() {
+        assert!(
+            scan.energy.get(c) == pj,
+            "{}/{bench} ({mode}): {c} energy {} (fast-forwarding) vs {} (scan)",
+            sched.label(),
+            pj,
+            scan.energy.get(c)
+        );
+    }
+    assert_eq!(
+        fast,
+        scan,
+        "{}/{bench} ({mode}): full SimStats must be bit-identical",
+        sched.label()
+    );
+    assert_eq!(fast.committed, n, "{}/{bench} ({mode})", sched.label());
+    (fast, skipped)
+}
+
+/// Every registered scheme × the miss-bound workloads × the four
+/// speculation modes: skipping idle cycles changes no statistic, bit for
+/// bit. And the skip must actually run — on mcf, the headline CAM and
+/// MixBUFF machines spend most of their cycles idle waiting on memory, and
+/// at least half of those cycles must be jumped over, or the equality
+/// above would prove nothing.
+#[test]
+fn fast_forward_is_bit_identical_and_engages_on_miss_bound_runs() {
+    let n = 10_000;
+    for sched in SchedulerConfig::known() {
+        for bench in ["mcf", "misschase", "art"] {
+            for (wrong_path, lhs) in [(false, false), (true, false), (false, true), (true, true)] {
+                let (stats, skipped) =
+                    assert_identical_fast_forwarding(&sched, bench, n, wrong_path, lhs);
+                let engaged = ["IQ_64_64", "MB_distr"].contains(&sched.label().as_str());
+                if engaged && bench == "mcf" && !wrong_path && !lhs {
+                    assert!(
+                        2 * skipped >= stats.cycles,
+                        "{}/mcf: only {skipped} of {} cycles fast-forwarded",
+                        sched.label(),
+                        stats.cycles
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A scheduler that accepts work but never issues it — a deadlock by
+/// construction — optionally forwarding the fast-forward hook to the CAM
+/// it wraps.
+struct NeverIssues {
+    inner: Box<dyn diq::sched::Scheduler>,
+    forward_idle: bool,
+}
+
+impl diq::sched::Scheduler for NeverIssues {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn try_dispatch(
+        &mut self,
+        inst: &diq::sched::DispatchInst,
+        now: u64,
+    ) -> Result<(), diq::sched::DispatchStall> {
+        self.inner.try_dispatch(inst, now)
+    }
+    fn issue_cycle(&mut self, _now: u64, _sink: &mut dyn diq::sched::IssueSink) {}
+    fn on_result(&mut self, dst: diq::isa::PhysReg, now: u64) {
+        self.inner.on_result(dst, now);
+    }
+    fn on_mispredict(&mut self) {
+        self.inner.on_mispredict();
+    }
+    fn squash(&mut self, from: diq::isa::InstId) {
+        self.inner.squash(from);
+    }
+    fn cancel(&mut self, tag: diq::isa::PhysReg) {
+        self.inner.cancel(tag);
+    }
+    fn occupancy(&self) -> (usize, usize) {
+        self.inner.occupancy()
+    }
+    fn energy(&self) -> &diq::power::EnergyMeter {
+        self.inner.energy()
+    }
+    fn fu_topology(&self) -> &diq::sched::FuTopology {
+        self.inner.fu_topology()
+    }
+    fn idle_until(
+        &mut self,
+        now: u64,
+        limit: u64,
+        stalled: Option<&diq::sched::DispatchInst>,
+    ) -> u64 {
+        if self.forward_idle {
+            self.inner.idle_until(now, limit, stalled)
+        } else {
+            now
+        }
+    }
+}
+
+/// The skip never passes the deadlock check: a machine that stops
+/// committing panics at the same cycle, with the same diagnostics, whether
+/// its idle cycles are skipped or run one by one.
+#[test]
+fn deadlock_fires_at_the_same_cycle_when_fast_forwarding() {
+    let cfg = ProcessorConfig::hpca2004();
+    let spec = suite::by_name("gzip").unwrap();
+    let trace = spec.generate(2_000);
+    let deadlock = |forward_idle: bool| -> (String, u64) {
+        let sched = NeverIssues {
+            inner: SchedulerConfig::iq_64_64().build(&cfg),
+            forward_idle,
+        };
+        let mut sim = Simulator::with_scheduler(&cfg, Box::new(sched));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_workload(&mut TraceSource::new(trace.iter().copied()), 2_000)
+        }));
+        let payload = result.expect_err("a machine that never issues must deadlock");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("formatted panic message");
+        (message, sim.fast_forwarded_cycles())
+    };
+    let (stepped, stepped_skips) = deadlock(false);
+    let (skipped, skips) = deadlock(true);
+    assert!(
+        stepped.starts_with("deadlock: no commit since cycle"),
+        "{stepped}"
+    );
+    assert_eq!(stepped_skips, 0);
+    assert!(skips > 0, "the forwarding machine never fast-forwarded");
+    assert_eq!(skipped, stepped, "the deadlock must fire at the same cycle");
+}

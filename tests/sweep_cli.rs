@@ -37,23 +37,24 @@ fn stdout_of(out: &Output) -> String {
 
 #[test]
 fn shipped_experiment_specs_parse_and_expand() {
-    // trace_smoke.json replays a recorded trace that CI (and `just
-    // trace-smoke`) records before sweeping; expansion hashes the file's
-    // content, so mirror that setup here. The path is gitignored.
-    let trace = repo_file("traces/gzip-50k.diqt");
-    if !trace.exists() {
-        std::fs::create_dir_all(trace.parent().unwrap()).unwrap();
-        let spec = diq::workload::suite::by_name("gzip").unwrap();
-        diq::workload::trace::record(
-            &trace,
-            &spec.name,
-            spec.seed,
-            "test setup",
-            diq::workload::TraceGenerator::new(&spec),
-            50_000,
-        )
-        .unwrap();
-    }
+    // trace_smoke.json replays a trace that CI (and `just trace-smoke`)
+    // records to traces/gzip-50k.diqt before sweeping. Record the same
+    // trace into a temp dir instead — tests never write into the source
+    // tree — and point the spec there: point keys hash the trace content,
+    // never the path, so the expansion is unchanged.
+    let scratch = tmp_dir("specs");
+    let trace = scratch.join("gzip-50k.diqt");
+    let spec = diq::workload::suite::by_name("gzip").unwrap();
+    diq::workload::trace::record(
+        &trace,
+        &spec.name,
+        spec.seed,
+        "test setup",
+        diq::workload::TraceGenerator::new(&spec),
+        50_000,
+    )
+    .unwrap();
+    let trace_source = format!("trace:{}", trace.display());
     let dir = repo_file("experiments");
     let mut seen = 0;
     for entry in fs::read_dir(dir).unwrap() {
@@ -61,7 +62,9 @@ fn shipped_experiment_specs_parse_and_expand() {
         if path.extension().is_none_or(|e| e != "json") {
             continue;
         }
-        let json = fs::read_to_string(&path).unwrap();
+        let json = fs::read_to_string(&path)
+            .unwrap()
+            .replace("trace:traces/gzip-50k.diqt", &trace_source);
         let spec =
             ExperimentSpec::from_json(&json).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let points = spec
@@ -71,6 +74,7 @@ fn shipped_experiment_specs_parse_and_expand() {
         seen += 1;
     }
     assert!(seen >= 4, "expected the shipped specs, found {seen}");
+    let _ = fs::remove_dir_all(scratch);
 }
 
 #[test]
