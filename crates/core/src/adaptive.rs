@@ -1,20 +1,25 @@
-//! Adaptive queue geometry: the banked CAM baseline with a runtime bank
-//! power-gating controller (`IQ_64_64_adapt`).
+//! Adaptive queue geometry: the bank power-gating controller that turns the
+//! banked CAM baseline into `IQ_64_64_adapt`.
 //!
 //! The static schemes of the paper fix their geometry at design time; this
 //! scheme keeps the `IQ_64_64` hardware but lets a small controller decide,
 //! at epoch boundaries, how many of the banks are *powered*. Dispatch is
 //! gated to the powered capacity (`powered_banks × bank_entries`), and the
 //! energy meter charges per-cycle retention only for powered banks
-//! ([`Component::BankIdle`]) — so shrinking the queue trades IPC (dispatch
-//! stalls arrive earlier) for gated-bank energy, the Pareto axis the static
-//! geometries cannot reach.
+//! ([`Component::BankIdle`](diq_power::Component::BankIdle)) — so shrinking
+//! the queue trades IPC (dispatch stalls arrive earlier) for gated-bank
+//! energy, the Pareto axis the static geometries cannot reach.
+//!
+//! There is no separate adaptive queue: each side of a
+//! [`CamIssueQueue`](crate::CamIssueQueue), and of its scan twin in
+//! [`reference`](crate::reference), carries an optional [`BankController`].
+//! `None` is the static scheme; a disabled [`AdaptiveConfig`] builds `None`.
 //!
 //! The controller observes only model-independent signals — per-cycle
 //! occupancy, load-hit-speculation cancels, and squash-removed entry counts
-//! — and uses pure integer arithmetic, so the event-driven queue here and
-//! the scan twin in [`reference`](crate::reference) (which shares the
-//! literal [`BankController`] code) make bit-identical decisions.
+//! — and uses pure integer arithmetic, so the event-driven queue and the
+//! scan twin (which run the literal same [`BankController`] code) make
+//! bit-identical decisions.
 //!
 //! **Shrink safety:** power-gating is a *capacity limit*, not a slot
 //! migration. No entry ever moves or is dropped by a resize, and a shrink
@@ -22,14 +27,6 @@
 //! shrink can never strand a listed wakeup waiter or a held replay entry
 //! (the property `tests/proptest_resize.rs` hammers).
 
-use crate::energy::CamEnergy;
-use crate::fifo::Entry;
-use crate::fu::FuTopology;
-use crate::soa::EntryStore;
-use crate::wakeup::{WakeupEvent, WakeupMap};
-use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
-use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig, RegClass};
-use diq_power::{Component, EnergyMeter, TechParams};
 use serde::{Deserialize, Serialize};
 
 fn default_true() -> bool {
@@ -60,9 +57,9 @@ fn default_guard() -> u64 {
 /// axis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
-    /// Master switch. `false` reproduces the static parent scheme's
-    /// numbers byte for byte (no gating, no retention energy, no resize
-    /// stats) — the golden tests pin this.
+    /// Master switch. `false` builds no controller, so the scheme is its
+    /// static parent byte for byte (no gating, no retention energy, no
+    /// resize stats) — the golden tests pin this.
     #[serde(default = "default_true")]
     pub enabled: bool,
     /// Cycles per controller epoch (decisions happen at epoch boundaries).
@@ -117,9 +114,10 @@ impl AdaptiveConfig {
     }
 }
 
-/// Per-side bank autoscaling state. Shared verbatim by the event-driven
-/// queue below and the scan twin in [`reference`](crate::reference), so the
-/// two models cannot diverge on a decision.
+/// Per-side bank autoscaling state of an enabled [`AdaptiveConfig`]. Shared
+/// verbatim by the event-driven [`CamIssueQueue`](crate::CamIssueQueue) and
+/// the scan twin in [`reference`](crate::reference), so the two models
+/// cannot diverge on a decision.
 #[derive(Clone, Debug)]
 pub(crate) struct BankController {
     cfg: AdaptiveConfig,
@@ -164,11 +162,7 @@ impl BankController {
 
     /// Entries dispatch may currently use.
     pub(crate) fn effective_capacity(&self) -> usize {
-        if self.cfg.enabled {
-            (self.powered * self.bank_entries).min(self.capacity)
-        } else {
-            self.capacity
-        }
+        (self.powered * self.bank_entries).min(self.capacity)
     }
 
     /// Banks currently powered.
@@ -183,18 +177,13 @@ impl BankController {
 
     /// Records replay/squash feedback (cancels and squash-removed entries).
     pub(crate) fn note_feedback(&mut self, events: u64) {
-        if self.cfg.enabled {
-            self.feedback += events;
-        }
+        self.feedback += events;
     }
 
     /// One cycle's controller update with the side's current occupancy.
     /// Called exactly once per `issue_cycle`; at an epoch boundary it may
     /// grow or (if occupancy already fits) shrink the powered-bank count.
     pub(crate) fn tick(&mut self, len: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.gated_bank_cycles += (self.banks - self.powered) as u64;
         self.occ_sum += len as u64;
         self.cycle_in_epoch += 1;
@@ -238,445 +227,5 @@ impl BankController {
         self.cycle_in_epoch = 0;
         self.occ_sum = 0;
         self.feedback = 0;
-    }
-}
-
-/// One banked CAM/RAM queue side with its autoscaling controller. The
-/// queue mechanics are the event-driven ones of [`cam`](crate::cam).
-#[derive(Clone, Debug)]
-struct AdaptiveArray {
-    store: EntryStore,
-    /// `tag → [waiting (slot, operand)]`.
-    waiters: WakeupMap,
-    bank_entries: usize,
-    ctrl: BankController,
-    /// Squash/cancel scratch (doomed slots), reused across recoveries.
-    doomed: Vec<u32>,
-}
-
-impl AdaptiveArray {
-    fn new(capacity: usize, banks: usize, regs: [usize; 2], adaptive: AdaptiveConfig) -> Self {
-        assert!(capacity > 0 && banks > 0);
-        AdaptiveArray {
-            store: EntryStore::new(capacity),
-            waiters: WakeupMap::new(capacity, regs),
-            bank_entries: capacity.div_ceil(banks),
-            ctrl: BankController::new(adaptive, capacity, banks),
-            doomed: Vec::with_capacity(capacity),
-        }
-    }
-
-    fn active_banks(&self) -> usize {
-        self.store.len().div_ceil(self.bank_entries)
-    }
-
-    fn dispatch(&mut self, d: &DispatchInst) {
-        let e = Entry::new(d);
-        let slot = self.store.insert(&e);
-        for (i, ready) in e.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(e.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
-    }
-
-    fn hold(&mut self, slot: u32) {
-        self.store.set_held(slot);
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        let mut doomed = std::mem::take(&mut self.doomed);
-        doomed.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            if store.srcs(slot).contains(&Some(tag)) {
-                doomed.push(slot);
-            }
-        });
-        for &slot in &doomed {
-            let srcs = self.store.srcs(slot);
-            for (i, src) in srcs.iter().enumerate() {
-                if *src == Some(tag) && self.store.is_ready(slot, i) {
-                    self.store.clear_ready(slot, i);
-                    self.waiters.listen(tag, slot, i);
-                }
-            }
-            self.store.clear_held(slot);
-        }
-        self.ctrl.note_feedback(1);
-        self.doomed = doomed;
-    }
-
-    fn squash(&mut self, from: InstId) {
-        let mut doomed = std::mem::take(&mut self.doomed);
-        doomed.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            if store.id(slot) >= from {
-                doomed.push(slot);
-            }
-        });
-        for &slot in &doomed {
-            if !self.store.all_ready(slot) {
-                let srcs = self.store.srcs(slot);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(slot, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), slot);
-                    }
-                }
-            }
-            self.store.remove(slot);
-        }
-        self.ctrl.note_feedback(doomed.len() as u64);
-        self.doomed = doomed;
-    }
-
-    fn wakeup(&mut self, tag: PhysReg) -> WakeupEvent {
-        let event = WakeupEvent {
-            banks: self.active_banks(),
-            comparators: self.store.unready_operand_count(),
-        };
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            debug_assert!(!store.is_ready(w.slot, w.operand as usize), "double wakeup");
-            store.set_ready(w.slot, w.operand as usize);
-        });
-        event
-    }
-}
-
-/// The adaptive-geometry CAM issue queue (`IQ_64_64_adapt`).
-///
-/// # Example
-///
-/// ```
-/// use diq_core::SchedulerConfig;
-/// use diq_isa::ProcessorConfig;
-///
-/// let s = SchedulerConfig::adaptive_iq_64_64().build(&ProcessorConfig::hpca2004());
-/// assert_eq!(s.name(), "IQ_64_64_adapt");
-/// ```
-#[derive(Debug)]
-pub struct AdaptiveCamIssueQueue {
-    name: String,
-    int: AdaptiveArray,
-    fp: AdaptiveArray,
-    enabled: bool,
-    energy_model: CamEnergy,
-    meter: EnergyMeter,
-    topology: FuTopology,
-    tech: TechParams,
-    /// Per-cycle selection scratch, reused across cycles.
-    candidates: Vec<(u64, Side, u32)>,
-}
-
-impl AdaptiveCamIssueQueue {
-    /// Builds an adaptive CAM issue queue with `int_entries`/`fp_entries`
-    /// entries in `banks` banks per side and the given controller knobs.
-    /// Prefer [`SchedulerConfig`](crate::SchedulerConfig) in application
-    /// code.
-    #[must_use]
-    pub fn new(
-        name: String,
-        int_entries: usize,
-        fp_entries: usize,
-        banks: usize,
-        adaptive: AdaptiveConfig,
-        topology: FuTopology,
-        cfg: &ProcessorConfig,
-    ) -> Self {
-        let tech = TechParams::um100();
-        let regs = [
-            cfg.phys_regs(diq_isa::RegClass::Int),
-            cfg.phys_regs(diq_isa::RegClass::Fp),
-        ];
-        AdaptiveCamIssueQueue {
-            name,
-            int: AdaptiveArray::new(int_entries, banks, regs, adaptive),
-            fp: AdaptiveArray::new(fp_entries, banks, regs, adaptive),
-            enabled: adaptive.enabled,
-            energy_model: CamEnergy::new(int_entries, banks, &topology, &tech),
-            meter: EnergyMeter::new(),
-            topology,
-            tech,
-            // Sized up front: capacity gating shifts occupancy over the
-            // whole run, so — unlike the static CAM — the selection scratch
-            // cannot be trusted to reach its high-water mark during warm-up
-            // (the steady-state allocation tests hold every scheme to zero
-            // mid-run growth).
-            candidates: Vec::with_capacity(int_entries + fp_entries),
-        }
-    }
-
-    fn array(&mut self, side: Side) -> &mut AdaptiveArray {
-        match side {
-            Side::Int => &mut self.int,
-            Side::Fp => &mut self.fp,
-        }
-    }
-}
-
-impl Scheduler for AdaptiveCamIssueQueue {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
-        let side = d.side();
-        let array = self.array(side);
-        if array.store.len() >= array.ctrl.effective_capacity() {
-            return Err(DispatchStall::Full);
-        }
-        array.dispatch(d);
-        self.meter
-            .add(Component::Buff, self.energy_model.entry_write);
-        Ok(())
-    }
-
-    fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        // Retention of what is powered this cycle, before any selection
-        // work — one meter event, mirrored exactly by the scan twin.
-        if self.enabled {
-            self.meter.add(
-                Component::BankIdle,
-                (self.int.ctrl.powered() + self.fp.ctrl.powered()) as f64
-                    * self.energy_model.bank_idle,
-            );
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
-            let before = candidates.len();
-            array
-                .store
-                .for_each_selectable(|slot| candidates.push((array.store.id(slot).0, side, slot)));
-            if array.store.len() > 0 {
-                self.meter.add(
-                    Component::Select,
-                    self.energy_model
-                        .select
-                        .select_energy_pj(&self.tech, candidates.len() - before),
-                );
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(age, side, slot) in &candidates {
-            let array = match side {
-                Side::Int => &mut self.int,
-                Side::Fp => &mut self.fp,
-            };
-            let e = array.store.snapshot(slot);
-            if sink.try_issue(InstId(age), e.op, None) {
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    array.hold(slot);
-                } else {
-                    array.store.remove(slot);
-                }
-                self.meter
-                    .add(Component::Buff, self.energy_model.entry_read);
-                let (mux, pj) = self.energy_model.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-        self.candidates = candidates;
-        // End-of-cycle controller sample: post-issue occupancy per side.
-        let len = self.int.store.len();
-        self.int.ctrl.tick(len);
-        let len = self.fp.store.len();
-        self.fp.ctrl.tick(len);
-    }
-
-    fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
-        let mut banks = 0;
-        let mut listening = 0;
-        match dst.class() {
-            RegClass::Int => {
-                let ev = self.int.wakeup(dst);
-                banks += ev.banks;
-                listening += ev.comparators;
-            }
-            RegClass::Fp => {
-                let ev = self.fp.wakeup(dst);
-                banks += ev.banks;
-                listening += ev.comparators;
-                let ev = self.int.wakeup(dst);
-                banks += ev.banks;
-                listening += ev.comparators;
-            }
-        }
-        self.meter.add(
-            Component::Wakeup,
-            banks as f64 * self.energy_model.bank_broadcast
-                + listening as f64 * self.energy_model.matchline,
-        );
-    }
-
-    fn on_mispredict(&mut self) {
-        // No steering tables, like the static CAM.
-    }
-
-    fn squash(&mut self, from: InstId) {
-        self.int.squash(from);
-        self.fp.squash(from);
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        match tag.class() {
-            RegClass::Int => self.int.cancel(tag),
-            RegClass::Fp => {
-                self.fp.cancel(tag);
-                self.int.cancel(tag);
-            }
-        }
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        (self.int.store.len(), self.fp.store.len())
-    }
-
-    fn energy(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
-    fn fu_topology(&self) -> &FuTopology {
-        &self.topology
-    }
-
-    fn adaptive_stats(&self) -> (u64, u64) {
-        let (ri, gi) = self.int.ctrl.stats();
-        let (rf, gf) = self.fp.ctrl.stats();
-        (ri + rf, gi + gf)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_util::{di, BoundedSink};
-    use diq_isa::OpClass;
-
-    fn tiny(adaptive: AdaptiveConfig) -> AdaptiveCamIssueQueue {
-        let cfg = ProcessorConfig::hpca2004();
-        AdaptiveCamIssueQueue::new(
-            "test".into(),
-            8,
-            8,
-            4,
-            adaptive,
-            FuTopology::Shared { pool: cfg.fus },
-            &cfg,
-        )
-    }
-
-    fn idle_cycles(s: &mut AdaptiveCamIssueQueue, n: u64) {
-        for c in 0..n {
-            let mut sink = BoundedSink::all_ready();
-            s.issue_cycle(c, &mut sink);
-        }
-    }
-
-    #[test]
-    fn controller_gates_banks_on_an_empty_queue() {
-        let cfg = AdaptiveConfig {
-            epoch_cycles: 8,
-            hysteresis_epochs: 1,
-            min_banks: 1,
-            ..AdaptiveConfig::default()
-        };
-        let mut s = tiny(cfg);
-        // 3 epochs of emptiness: each may shrink one bank, down to the
-        // floor of 1 powered bank per side.
-        idle_cycles(&mut s, 8 * 3);
-        assert_eq!(s.int.ctrl.powered(), 1);
-        assert_eq!(s.int.ctrl.effective_capacity(), 2);
-        let (resizes, gated) = s.adaptive_stats();
-        assert!(resizes >= 6, "both sides shrink: got {resizes}");
-        assert!(gated > 0, "gated bank-cycles accumulate");
-        assert!(
-            s.energy().get(Component::BankIdle) > 0.0,
-            "powered banks pay retention"
-        );
-    }
-
-    #[test]
-    fn gated_capacity_stalls_dispatch_and_pressure_grows_it_back() {
-        let cfg = AdaptiveConfig {
-            epoch_cycles: 4,
-            hysteresis_epochs: 1,
-            min_banks: 1,
-            ..AdaptiveConfig::default()
-        };
-        let mut s = tiny(cfg);
-        idle_cycles(&mut s, 4 * 3); // shrink to 1 bank = 2 entries
-        assert_eq!(s.int.ctrl.effective_capacity(), 2);
-        // Fill to the gated capacity with unready entries: the third
-        // dispatch stalls even though physical capacity is 8.
-        for id in 1..=2 {
-            let mut d = di(id, OpClass::IntAlu, Some(id as u8), [Some(40), None]);
-            d.srcs_ready = [false, true];
-            s.try_dispatch(&d, 0).unwrap();
-        }
-        let mut d = di(3, OpClass::IntAlu, Some(3), [Some(40), None]);
-        d.srcs_ready = [false, true];
-        assert_eq!(s.try_dispatch(&d, 0).unwrap_err(), DispatchStall::Full);
-        // Full-at-2-entries occupancy is 100% of powered capacity: the
-        // controller must grow a bank back within an epoch or two.
-        idle_cycles(&mut s, 4 * 2);
-        assert!(s.int.ctrl.powered() >= 2, "pressure regrows banks");
-        assert!(s.int.ctrl.effective_capacity() >= 4);
-        // The waiters listed while gated are intact: the wakeup still
-        // reaches both entries and they issue.
-        s.on_result(diq_isa::PhysReg::new(RegClass::Int, 40), 99);
-        let mut sink = BoundedSink::all_ready();
-        s.issue_cycle(99, &mut sink);
-        assert_eq!(sink.issued, vec![InstId(1), InstId(2)]);
-        assert_eq!(s.occupancy(), (0, 0));
-    }
-
-    #[test]
-    fn shrink_defers_until_occupancy_fits() {
-        let cfg = AdaptiveConfig {
-            epoch_cycles: 4,
-            hysteresis_epochs: 1,
-            // Shrink whenever below 60% so a half-full queue still votes
-            // to shrink — but the resize must wait for occupancy to fit.
-            shrink_occupancy_pct: 60,
-            min_banks: 1,
-            ..AdaptiveConfig::default()
-        };
-        let mut s = tiny(cfg);
-        // 3 held-style unready entries occupy 3 of 8 entries (38% < 60%).
-        for id in 1..=3 {
-            let mut d = di(id, OpClass::IntAlu, Some(id as u8), [Some(40), None]);
-            d.srcs_ready = [false, true];
-            s.try_dispatch(&d, 0).unwrap();
-        }
-        idle_cycles(&mut s, 4 * 4);
-        // 3 entries need ceil(3/2)=2 banks; the controller may shrink to 2
-        // but never below — the occupancy-fit guard holds.
-        assert!(
-            s.int.ctrl.effective_capacity() >= 3,
-            "occupancy never exceeds powered capacity: cap {} for 3 live entries",
-            s.int.ctrl.effective_capacity()
-        );
-        assert_eq!(s.occupancy().0, 3, "no entry was displaced by shrinks");
-        // All three still wake and drain.
-        s.on_result(diq_isa::PhysReg::new(RegClass::Int, 40), 99);
-        let mut sink = BoundedSink::all_ready();
-        s.issue_cycle(99, &mut sink);
-        assert_eq!(sink.issued.len(), 3);
-        assert_eq!(s.occupancy(), (0, 0));
-    }
-
-    #[test]
-    fn disabled_controller_never_gates_or_charges_retention() {
-        let mut s = tiny(AdaptiveConfig::disabled());
-        idle_cycles(&mut s, 64);
-        assert_eq!(s.int.ctrl.powered(), 4);
-        assert_eq!(s.int.ctrl.effective_capacity(), 8);
-        assert_eq!(s.adaptive_stats(), (0, 0));
-        assert_eq!(s.energy().get(Component::BankIdle), 0.0);
     }
 }

@@ -19,7 +19,15 @@
 //! comparator count is a popcount over the same bitsets ([`WakeupEvent`]
 //! carries it), bit-identical to the frozen scan model in
 //! [`reference`](crate::reference).
+//!
+//! The same queue is the adaptive-geometry scheme (`IQ_64_64_adapt`): each
+//! side may carry a [`BankController`] that power-gates banks at runtime
+//! (see [`adaptive`](crate::adaptive)). The controller limits the dispatch
+//! capacity, charges retention for powered banks before selection, samples
+//! occupancy at the end of every cycle, and counts squash and cancel
+//! feedback. Without one, none of that code runs.
 
+use crate::adaptive::{AdaptiveConfig, BankController};
 use crate::energy::{CamEnergy, IdleCharge};
 use crate::fifo::Entry;
 use crate::fu::FuTopology;
@@ -37,20 +45,35 @@ struct CamArray {
     waiters: WakeupMap,
     capacity: usize,
     bank_entries: usize,
+    /// Bank power-gating controller; `None` for the static geometry.
+    ctrl: Option<BankController>,
     /// Squash/cancel scratch (doomed slots), reused across recoveries.
     doomed: Vec<u32>,
 }
 
 impl CamArray {
-    fn new(capacity: usize, banks: usize, regs: [usize; 2]) -> Self {
+    fn new(
+        capacity: usize,
+        banks: usize,
+        regs: [usize; 2],
+        adaptive: Option<AdaptiveConfig>,
+    ) -> Self {
         assert!(capacity > 0 && banks > 0);
         CamArray {
             store: EntryStore::new(capacity),
             waiters: WakeupMap::new(capacity, regs),
             capacity,
             bank_entries: capacity.div_ceil(banks),
-            doomed: Vec::new(),
+            ctrl: adaptive.map(|a| BankController::new(a, capacity, banks)),
+            doomed: Vec::with_capacity(capacity),
         }
+    }
+
+    /// Entries dispatch may use: the powered capacity under a controller.
+    fn effective_capacity(&self) -> usize {
+        self.ctrl
+            .as_ref()
+            .map_or(self.capacity, BankController::effective_capacity)
     }
 
     fn active_banks(&self) -> usize {
@@ -98,6 +121,9 @@ impl CamArray {
             }
             self.store.clear_held(slot);
         }
+        if let Some(ctrl) = &mut self.ctrl {
+            ctrl.note_feedback(1);
+        }
         self.doomed = doomed;
     }
 
@@ -128,6 +154,9 @@ impl CamArray {
             }
             self.store.remove(slot);
         }
+        if let Some(ctrl) = &mut self.ctrl {
+            ctrl.note_feedback(doomed.len() as u64);
+        }
         self.doomed = doomed;
     }
 
@@ -149,7 +178,8 @@ impl CamArray {
     }
 }
 
-/// The conventional out-of-order issue queue.
+/// The conventional out-of-order issue queue, optionally with adaptive
+/// bank power-gating.
 ///
 /// # Example
 ///
@@ -159,6 +189,8 @@ impl CamArray {
 ///
 /// let s = SchedulerConfig::iq_64_64().build(&ProcessorConfig::hpca2004());
 /// assert_eq!(s.name(), "IQ_64_64");
+/// let s = SchedulerConfig::adaptive_iq_64_64().build(&ProcessorConfig::hpca2004());
+/// assert_eq!(s.name(), "IQ_64_64_adapt");
 /// ```
 #[derive(Debug)]
 pub struct CamIssueQueue {
@@ -177,7 +209,9 @@ pub struct CamIssueQueue {
 
 impl CamIssueQueue {
     /// Builds a CAM issue queue with `int_entries`/`fp_entries` entries in
-    /// `banks` banks each. Prefer [`SchedulerConfig`](crate::SchedulerConfig)
+    /// `banks` banks each, whose sides each run a bank power-gating
+    /// controller with the `adaptive` knobs if given (its `enabled` switch
+    /// is not consulted). Prefer [`SchedulerConfig`](crate::SchedulerConfig)
     /// in application code.
     #[must_use]
     pub fn new(
@@ -185,6 +219,7 @@ impl CamIssueQueue {
         int_entries: usize,
         fp_entries: usize,
         banks: usize,
+        adaptive: Option<AdaptiveConfig>,
         topology: FuTopology,
         cfg: &ProcessorConfig,
     ) -> Self {
@@ -195,8 +230,8 @@ impl CamIssueQueue {
         ];
         CamIssueQueue {
             name,
-            int: CamArray::new(int_entries, banks, regs),
-            fp: CamArray::new(fp_entries, banks, regs),
+            int: CamArray::new(int_entries, banks, regs, adaptive),
+            fp: CamArray::new(fp_entries, banks, regs, adaptive),
             energy_model: CamEnergy::new(int_entries, banks, &topology, &tech),
             meter: EnergyMeter::new(),
             topology,
@@ -223,7 +258,7 @@ impl Scheduler for CamIssueQueue {
     fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
         let side = d.side();
         let array = self.array(side);
-        if array.store.len() >= array.capacity {
+        if array.store.len() >= array.effective_capacity() {
             return Err(DispatchStall::Full);
         }
         array.dispatch(d);
@@ -237,6 +272,14 @@ impl Scheduler for CamIssueQueue {
         // enforces per-side width and functional-unit limits. The bitset
         // mask means selection work is proportional to the occupied words,
         // not the queue size.
+        if let (Some(int), Some(fp)) = (&self.int.ctrl, &self.fp.ctrl) {
+            // Retention of what is powered this cycle, before any selection
+            // work — one meter event, mirrored exactly by the scan twin.
+            self.meter.add(
+                Component::BankIdle,
+                (int.powered() + fp.powered()) as f64 * self.energy_model.bank_idle,
+            );
+        }
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
         for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
@@ -278,6 +321,12 @@ impl Scheduler for CamIssueQueue {
             }
         }
         self.candidates = candidates;
+        // End-of-cycle controller sample: post-issue occupancy per side.
+        for array in [&mut self.int, &mut self.fp] {
+            if let Some(ctrl) = &mut array.ctrl {
+                ctrl.tick(array.store.len());
+            }
+        }
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
@@ -343,11 +392,22 @@ impl Scheduler for CamIssueQueue {
         &self.topology
     }
 
-    /// Nothing in the CAM reads the cycle number, and a rejected dispatch
-    /// charges nothing: an idle cycle repeats until something outside the
-    /// queue changes. Each repeat pays the selection pass — int side, then
-    /// FP side — over the same candidates that could not issue.
+    fn adaptive_stats(&self) -> (u64, u64) {
+        let (ri, gi) = self.int.ctrl.as_ref().map_or((0, 0), BankController::stats);
+        let (rf, gf) = self.fp.ctrl.as_ref().map_or((0, 0), BankController::stats);
+        (ri + rf, gi + gf)
+    }
+
+    /// Nothing in the static CAM reads the cycle number, and a rejected
+    /// dispatch charges nothing: an idle cycle repeats until something
+    /// outside the queue changes. Each repeat pays the selection pass — int
+    /// side, then FP side — over the same candidates that could not issue.
+    /// A bank controller samples occupancy and advances its epoch every
+    /// cycle, so with one present nothing is skipped.
     fn idle_until(&mut self, now: Cycle, limit: Cycle, _stalled: Option<&DispatchInst>) -> Cycle {
+        if self.int.ctrl.is_some() || self.fp.ctrl.is_some() {
+            return now;
+        }
         self.idle.clear();
         for array in [&self.int, &self.fp] {
             if array.store.len() > 0 {
@@ -547,5 +607,140 @@ mod tests {
         s.issue_cycle(1, &mut sink);
         assert_eq!(sink.issued, vec![InstId(2)]);
         assert_eq!(s.occupancy(), (0, 0));
+    }
+
+    // ---- adaptive geometry (a side with a bank controller) -----------
+
+    /// An 8+8-entry, 4-bank queue routed the way `SchedulerConfig` routes
+    /// an adaptive config: a disabled controller is no controller.
+    fn tiny(adaptive: AdaptiveConfig) -> CamIssueQueue {
+        let cfg = ProcessorConfig::hpca2004();
+        CamIssueQueue::new(
+            "test".into(),
+            8,
+            8,
+            4,
+            adaptive.enabled.then_some(adaptive),
+            FuTopology::Shared { pool: cfg.fus },
+            &cfg,
+        )
+    }
+
+    /// Powered banks of a side; every bank is powered without a controller.
+    fn powered(array: &CamArray) -> usize {
+        array.ctrl.as_ref().map_or(
+            array.capacity.div_ceil(array.bank_entries),
+            BankController::powered,
+        )
+    }
+
+    fn idle_cycles(s: &mut CamIssueQueue, n: u64) {
+        for c in 0..n {
+            let mut sink = BoundedSink::all_ready();
+            s.issue_cycle(c, &mut sink);
+        }
+    }
+
+    #[test]
+    fn controller_gates_banks_on_an_empty_queue() {
+        let cfg = AdaptiveConfig {
+            epoch_cycles: 8,
+            hysteresis_epochs: 1,
+            min_banks: 1,
+            ..AdaptiveConfig::default()
+        };
+        let mut s = tiny(cfg);
+        // 3 epochs of emptiness: each may shrink one bank, down to the
+        // floor of 1 powered bank per side.
+        idle_cycles(&mut s, 8 * 3);
+        assert_eq!(powered(&s.int), 1);
+        assert_eq!(s.int.effective_capacity(), 2);
+        let (resizes, gated) = s.adaptive_stats();
+        assert!(resizes >= 6, "both sides shrink: got {resizes}");
+        assert!(gated > 0, "gated bank-cycles accumulate");
+        assert!(
+            s.energy().get(Component::BankIdle) > 0.0,
+            "powered banks pay retention"
+        );
+    }
+
+    #[test]
+    fn gated_capacity_stalls_dispatch_and_pressure_grows_it_back() {
+        let cfg = AdaptiveConfig {
+            epoch_cycles: 4,
+            hysteresis_epochs: 1,
+            min_banks: 1,
+            ..AdaptiveConfig::default()
+        };
+        let mut s = tiny(cfg);
+        idle_cycles(&mut s, 4 * 3); // shrink to 1 bank = 2 entries
+        assert_eq!(s.int.effective_capacity(), 2);
+        // Fill to the gated capacity with unready entries: the third
+        // dispatch stalls even though physical capacity is 8.
+        for id in 1..=2 {
+            let mut d = di(id, OpClass::IntAlu, Some(id as u8), [Some(40), None]);
+            d.srcs_ready = [false, true];
+            s.try_dispatch(&d, 0).unwrap();
+        }
+        let mut d = di(3, OpClass::IntAlu, Some(3), [Some(40), None]);
+        d.srcs_ready = [false, true];
+        assert_eq!(s.try_dispatch(&d, 0).unwrap_err(), DispatchStall::Full);
+        // Full-at-2-entries occupancy is 100% of powered capacity: the
+        // controller must grow a bank back within an epoch or two.
+        idle_cycles(&mut s, 4 * 2);
+        assert!(powered(&s.int) >= 2, "pressure regrows banks");
+        assert!(s.int.effective_capacity() >= 4);
+        // The waiters listed while gated are intact: the wakeup still
+        // reaches both entries and they issue.
+        s.on_result(diq_isa::PhysReg::new(RegClass::Int, 40), 99);
+        let mut sink = BoundedSink::all_ready();
+        s.issue_cycle(99, &mut sink);
+        assert_eq!(sink.issued, vec![InstId(1), InstId(2)]);
+        assert_eq!(s.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn shrink_defers_until_occupancy_fits() {
+        let cfg = AdaptiveConfig {
+            epoch_cycles: 4,
+            hysteresis_epochs: 1,
+            // Shrink whenever below 60% so a half-full queue still votes
+            // to shrink — but the resize must wait for occupancy to fit.
+            shrink_occupancy_pct: 60,
+            min_banks: 1,
+            ..AdaptiveConfig::default()
+        };
+        let mut s = tiny(cfg);
+        // 3 held-style unready entries occupy 3 of 8 entries (38% < 60%).
+        for id in 1..=3 {
+            let mut d = di(id, OpClass::IntAlu, Some(id as u8), [Some(40), None]);
+            d.srcs_ready = [false, true];
+            s.try_dispatch(&d, 0).unwrap();
+        }
+        idle_cycles(&mut s, 4 * 4);
+        // 3 entries need ceil(3/2)=2 banks; the controller may shrink to 2
+        // but never below — the occupancy-fit guard holds.
+        assert!(
+            s.int.effective_capacity() >= 3,
+            "occupancy never exceeds powered capacity: cap {} for 3 live entries",
+            s.int.effective_capacity()
+        );
+        assert_eq!(s.occupancy().0, 3, "no entry was displaced by shrinks");
+        // All three still wake and drain.
+        s.on_result(diq_isa::PhysReg::new(RegClass::Int, 40), 99);
+        let mut sink = BoundedSink::all_ready();
+        s.issue_cycle(99, &mut sink);
+        assert_eq!(sink.issued.len(), 3);
+        assert_eq!(s.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn disabled_controller_never_gates_or_charges_retention() {
+        let mut s = tiny(AdaptiveConfig::disabled());
+        idle_cycles(&mut s, 64);
+        assert_eq!(powered(&s.int), 4);
+        assert_eq!(s.int.effective_capacity(), 8);
+        assert_eq!(s.adaptive_stats(), (0, 0));
+        assert_eq!(s.energy().get(Component::BankIdle), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Scheme configuration and construction.
 
-use crate::adaptive::{AdaptiveCamIssueQueue, AdaptiveConfig};
+use crate::adaptive::AdaptiveConfig;
 use crate::cam::CamIssueQueue;
 use crate::fifo::IssueFifo;
 use crate::fu::FuTopology;
@@ -430,20 +430,22 @@ impl SchedulerConfig {
                 *int_entries,
                 *fp_entries,
                 *banks,
+                None,
                 topology,
                 cfg,
             )),
+            // A disabled controller is no controller: the static CAM.
             SchedulerConfig::AdaptiveCam {
                 int_entries,
                 fp_entries,
                 banks,
                 adaptive,
-            } => Box::new(AdaptiveCamIssueQueue::new(
+            } => Box::new(CamIssueQueue::new(
                 name,
                 *int_entries,
                 *fp_entries,
                 *banks,
-                *adaptive,
+                adaptive.enabled.then_some(*adaptive),
                 topology,
                 cfg,
             )),

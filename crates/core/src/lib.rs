@@ -7,7 +7,7 @@
 //! | Scheme | Paper name | Wakeup | Dispatch placement | Selection |
 //! |--------|------------|--------|--------------------|-----------|
 //! | [`CamIssueQueue`] | `IQ_64_64` / unbounded baseline | CAM broadcast (unready operands only, banked) | any free entry | N oldest ready |
-//! | [`AdaptiveCamIssueQueue`] | `IQ_64_64_adapt` (adaptive geometry) | CAM broadcast, banks power-gated at runtime | any free entry within powered capacity | N oldest ready |
+//! | [`CamIssueQueue`] with a `BankController` | `IQ_64_64_adapt` (adaptive geometry) | CAM broadcast, banks power-gated at runtime | any free entry within powered capacity | N oldest ready |
 //! | [`IssueFifo`] | `IssueFIFO` / `IF_distr` | none (ready-bit check at heads) | Palacharla dependence heuristics | FIFO heads, oldest first |
 //! | [`LatFifo`] | `LatFIFO` | none | estimated issue time (§3.1 recurrence) | FIFO heads |
 //! | [`MixBuff`] | `MixBUFF` / `MB_distr` | none | dependence chains in RAM buffers | 1/queue/cycle by 2-bit latency code ∥ age |
@@ -47,7 +47,7 @@ mod soa;
 pub(crate) mod test_util;
 mod wakeup;
 
-pub use adaptive::{AdaptiveCamIssueQueue, AdaptiveConfig};
+pub use adaptive::AdaptiveConfig;
 pub use cam::CamIssueQueue;
 pub use config::{QueueArrayConfig, SchedulerConfig};
 pub use estimate::IssueTimeEstimator;
@@ -279,8 +279,9 @@ pub trait Scheduler {
     ///
     /// The default skips nothing (returns `now`). It is kept by the frozen
     /// scan twins in [`reference`](mod@reference), which are the golden
-    /// proof's oracle and so must run every cycle; by [`AdaptiveCamIssueQueue`], whose bank
-    /// controller samples occupancy and advances its epoch every cycle; by
+    /// proof's oracle and so must run every cycle; by a [`CamIssueQueue`]
+    /// with a bank controller (`IQ_64_64_adapt`), which samples occupancy
+    /// and advances its epoch every cycle; by
     /// [`LatFifo`], whose FP placement compares issue-time estimates with
     /// the current cycle; and by wrapping schedulers that do not forward
     /// this call, which therefore run every cycle as before.

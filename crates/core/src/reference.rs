@@ -19,8 +19,15 @@
 //! revert `tag`'s speculative readiness, and un-hold entries that issued
 //! speculatively. The pre-existing cycle behaviour is untouched.)
 //!
-//! New *schemes* may add their own scan twins here (the adaptive-geometry
-//! CAM below follows the PR 4–5 playbook), but existing twins stay frozen.
+//! A third sanctioned extension folded the adaptive-geometry scheme
+//! (`IQ_64_64_adapt`) into the scan CAM: each side of `ScanCam` carries an
+//! optional `BankController`, the same code the event-driven queue runs. It gates the dispatch capacity,
+//! charges bank retention before selection, samples occupancy after issue,
+//! and counts squash and cancel feedback. With `None` — every static CAM —
+//! the cycle behaviour is untouched.
+//!
+//! New *schemes* may add their own scan twins here, but existing twins stay
+//! frozen.
 
 use crate::adaptive::{AdaptiveConfig, BankController};
 use crate::energy::{CamEnergy, FifoEnergy, MixEnergy};
@@ -51,6 +58,7 @@ pub fn build_scan(config: &SchedulerConfig, cfg: &ProcessorConfig) -> Box<dyn Sc
             *int_entries,
             *fp_entries,
             *banks,
+            None,
             topology,
         )),
         SchedulerConfig::AdaptiveCam {
@@ -58,12 +66,12 @@ pub fn build_scan(config: &SchedulerConfig, cfg: &ProcessorConfig) -> Box<dyn Sc
             fp_entries,
             banks,
             adaptive,
-        } => Box::new(ScanAdaptiveCam::new(
+        } => Box::new(ScanCam::new(
             name,
             *int_entries,
             *fp_entries,
             *banks,
-            *adaptive,
+            adaptive.enabled.then_some(*adaptive),
             topology,
         )),
         SchedulerConfig::IssueFifo { int, fp, .. } => Box::new(ScanIssueFifo::new(
@@ -125,15 +133,17 @@ struct CamArray {
     entries: Vec<CamEntry>,
     capacity: usize,
     bank_entries: usize,
+    ctrl: Option<BankController>,
 }
 
 impl CamArray {
-    fn new(capacity: usize, banks: usize) -> Self {
+    fn new(capacity: usize, banks: usize, adaptive: Option<AdaptiveConfig>) -> Self {
         assert!(capacity > 0 && banks > 0);
         CamArray {
             entries: Vec::with_capacity(capacity),
             capacity,
             bank_entries: capacity.div_ceil(banks),
+            ctrl: adaptive.map(|a| BankController::new(a, capacity, banks)),
         }
     }
 
@@ -170,6 +180,17 @@ impl CamArray {
                 e.held = false;
             }
         }
+        if let Some(ctrl) = &mut self.ctrl {
+            ctrl.note_feedback(1);
+        }
+    }
+
+    fn squash(&mut self, from: InstId) {
+        let before = self.entries.len();
+        self.entries.retain(|e| e.id < from);
+        if let Some(ctrl) = &mut self.ctrl {
+            ctrl.note_feedback((before - self.entries.len()) as u64);
+        }
     }
 }
 
@@ -189,13 +210,14 @@ impl ScanCam {
         int_entries: usize,
         fp_entries: usize,
         banks: usize,
+        adaptive: Option<AdaptiveConfig>,
         topology: FuTopology,
     ) -> Self {
         let tech = TechParams::um100();
         ScanCam {
             name,
-            int: CamArray::new(int_entries, banks),
-            fp: CamArray::new(fp_entries, banks),
+            int: CamArray::new(int_entries, banks, adaptive),
+            fp: CamArray::new(fp_entries, banks, adaptive),
             energy_model: CamEnergy::new(int_entries, banks, &topology, &tech),
             meter: EnergyMeter::new(),
             topology,
@@ -219,7 +241,11 @@ impl Scheduler for ScanCam {
     fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
         let side = d.side();
         let array = self.array(side);
-        if array.entries.len() >= array.capacity {
+        let capacity = array
+            .ctrl
+            .as_ref()
+            .map_or(array.capacity, BankController::effective_capacity);
+        if array.entries.len() >= capacity {
             return Err(DispatchStall::Full);
         }
         let mut ready = [true, true];
@@ -241,198 +267,10 @@ impl Scheduler for ScanCam {
     }
 
     fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        let mut candidates: Vec<(u64, Side)> = Vec::new();
-        for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
-            for e in &array.entries {
-                if e.all_ready() && !e.held {
-                    candidates.push((e.id.0, side));
-                }
-            }
-            if !array.entries.is_empty() {
-                let active = array
-                    .entries
-                    .iter()
-                    .filter(|e| e.all_ready() && !e.held)
-                    .count();
-                self.meter.add(
-                    Component::Select,
-                    self.energy_model
-                        .select
-                        .select_energy_pj(&self.tech, active),
-                );
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for (age, side) in candidates {
-            let id = InstId(age);
-            let array = match side {
-                Side::Int => &self.int,
-                Side::Fp => &self.fp,
-            };
-            let Some(pos) = array.entries.iter().position(|e| e.id == id) else {
-                continue;
-            };
-            let e = array.entries[pos];
-            if sink.try_issue(id, e.op, None) {
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.array(side).entries[pos].held = true;
-                } else {
-                    self.array(side).entries.swap_remove(pos);
-                }
-                self.meter
-                    .add(Component::Buff, self.energy_model.entry_read);
-                let (mux, pj) = self.energy_model.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-    }
-
-    fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
-        let mut banks = 0;
-        let mut listening = 0;
-        match dst.class() {
-            RegClass::Int => {
-                let (b, l) = self.int.wakeup(dst);
-                banks += b;
-                listening += l;
-            }
-            RegClass::Fp => {
-                let (b, l) = self.fp.wakeup(dst);
-                banks += b;
-                listening += l;
-                let (b, l) = self.int.wakeup(dst);
-                banks += b;
-                listening += l;
-            }
-        }
-        self.meter.add(
-            Component::Wakeup,
-            banks as f64 * self.energy_model.bank_broadcast
-                + listening as f64 * self.energy_model.matchline,
-        );
-    }
-
-    fn on_mispredict(&mut self) {}
-
-    fn squash(&mut self, from: InstId) {
-        self.int.entries.retain(|e| e.id < from);
-        self.fp.entries.retain(|e| e.id < from);
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        match tag.class() {
-            RegClass::Int => self.int.cancel(tag),
-            RegClass::Fp => {
-                self.fp.cancel(tag);
-                self.int.cancel(tag);
-            }
-        }
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        (self.int.entries.len(), self.fp.entries.len())
-    }
-
-    fn energy(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
-    fn fu_topology(&self) -> &FuTopology {
-        &self.topology
-    }
-}
-
-// ---- adaptive CAM (bank autoscaling) ---------------------------------
-
-/// Scan twin of the adaptive-geometry CAM queue: the [`ScanCam`] cycle
-/// behaviour verbatim, plus the *same* [`BankController`] the event-driven
-/// model runs (shared code — integer arithmetic over model-independent
-/// signals — so the two models cannot diverge on a resize decision).
-/// Power-gating is a dispatch capacity limit; entries are never moved.
-struct ScanAdaptiveCam {
-    name: String,
-    int: CamArray,
-    fp: CamArray,
-    int_ctrl: BankController,
-    fp_ctrl: BankController,
-    enabled: bool,
-    energy_model: CamEnergy,
-    meter: EnergyMeter,
-    topology: FuTopology,
-    tech: TechParams,
-}
-
-impl ScanAdaptiveCam {
-    fn new(
-        name: String,
-        int_entries: usize,
-        fp_entries: usize,
-        banks: usize,
-        adaptive: AdaptiveConfig,
-        topology: FuTopology,
-    ) -> Self {
-        let tech = TechParams::um100();
-        ScanAdaptiveCam {
-            name,
-            int: CamArray::new(int_entries, banks),
-            fp: CamArray::new(fp_entries, banks),
-            int_ctrl: BankController::new(adaptive, int_entries, banks),
-            fp_ctrl: BankController::new(adaptive, fp_entries, banks),
-            enabled: adaptive.enabled,
-            energy_model: CamEnergy::new(int_entries, banks, &topology, &tech),
-            meter: EnergyMeter::new(),
-            topology,
-            tech,
-        }
-    }
-
-    fn array(&mut self, side: Side) -> &mut CamArray {
-        match side {
-            Side::Int => &mut self.int,
-            Side::Fp => &mut self.fp,
-        }
-    }
-}
-
-impl Scheduler for ScanAdaptiveCam {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
-        let side = d.side();
-        let cap = match side {
-            Side::Int => self.int_ctrl.effective_capacity(),
-            Side::Fp => self.fp_ctrl.effective_capacity(),
-        };
-        let array = self.array(side);
-        if array.entries.len() >= cap {
-            return Err(DispatchStall::Full);
-        }
-        let mut ready = [true, true];
-        for (i, src) in d.srcs.iter().enumerate() {
-            if src.is_some() {
-                ready[i] = d.srcs_ready[i];
-            }
-        }
-        array.entries.push(CamEntry {
-            id: d.id,
-            op: d.op,
-            srcs: d.srcs,
-            ready,
-            held: false,
-        });
-        self.meter
-            .add(Component::Buff, self.energy_model.entry_write);
-        Ok(())
-    }
-
-    fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        if self.enabled {
+        if let (Some(int), Some(fp)) = (&self.int.ctrl, &self.fp.ctrl) {
             self.meter.add(
                 Component::BankIdle,
-                (self.int_ctrl.powered() + self.fp_ctrl.powered()) as f64
-                    * self.energy_model.bank_idle,
+                (int.powered() + fp.powered()) as f64 * self.energy_model.bank_idle,
             );
         }
         let mut candidates: Vec<(u64, Side)> = Vec::new();
@@ -479,10 +317,11 @@ impl Scheduler for ScanAdaptiveCam {
                 self.meter.add(mux, pj);
             }
         }
-        let len = self.int.entries.len();
-        self.int_ctrl.tick(len);
-        let len = self.fp.entries.len();
-        self.fp_ctrl.tick(len);
+        for array in [&mut self.int, &mut self.fp] {
+            if let Some(ctrl) = &mut array.ctrl {
+                ctrl.tick(array.entries.len());
+            }
+        }
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
@@ -513,27 +352,16 @@ impl Scheduler for ScanAdaptiveCam {
     fn on_mispredict(&mut self) {}
 
     fn squash(&mut self, from: InstId) {
-        let before = self.int.entries.len();
-        self.int.entries.retain(|e| e.id < from);
-        self.int_ctrl
-            .note_feedback((before - self.int.entries.len()) as u64);
-        let before = self.fp.entries.len();
-        self.fp.entries.retain(|e| e.id < from);
-        self.fp_ctrl
-            .note_feedback((before - self.fp.entries.len()) as u64);
+        self.int.squash(from);
+        self.fp.squash(from);
     }
 
     fn cancel(&mut self, tag: PhysReg) {
         match tag.class() {
-            RegClass::Int => {
-                self.int.cancel(tag);
-                self.int_ctrl.note_feedback(1);
-            }
+            RegClass::Int => self.int.cancel(tag),
             RegClass::Fp => {
                 self.fp.cancel(tag);
-                self.fp_ctrl.note_feedback(1);
                 self.int.cancel(tag);
-                self.int_ctrl.note_feedback(1);
             }
         }
     }
@@ -551,8 +379,8 @@ impl Scheduler for ScanAdaptiveCam {
     }
 
     fn adaptive_stats(&self) -> (u64, u64) {
-        let (ri, gi) = self.int_ctrl.stats();
-        let (rf, gf) = self.fp_ctrl.stats();
+        let (ri, gi) = self.int.ctrl.as_ref().map_or((0, 0), BankController::stats);
+        let (rf, gf) = self.fp.ctrl.as_ref().map_or((0, 0), BankController::stats);
         (ri + rf, gi + gf)
     }
 }

@@ -3,20 +3,16 @@
 use diq_core::SchedulerConfig;
 use diq_isa::ProcessorConfig;
 use diq_pipeline::{SimStats, Simulator, TraceSource};
-use diq_workload::{TraceReader, WorkloadSource, WorkloadSpec};
+use diq_workload::{trace, TraceReader, WorkloadSource, WorkloadSpec};
 use serde::{Deserialize, Serialize, Value};
 
-/// 64-bit FNV-1a over `bytes` — the store's content hash. Small, stable,
+/// 64-bit FNV-1a over `bytes` — the store's content hash, the same
+/// function the trace format chains its checksums with. Small, stable,
 /// dependency-free; collisions across a few thousand grid points are not a
 /// realistic concern, and a collision would only ever skip a recompute.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    trace::fnv1a64(trace::FNV_OFFSET, bytes)
 }
 
 /// One fully-resolved simulation point of an experiment grid.

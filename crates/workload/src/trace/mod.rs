@@ -127,8 +127,9 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-/// FNV-1a folding used for block checksums and the content hash (same
-/// function family as the experiment store's point keys).
+/// FNV-1a folding used for block checksums and the content hash; the
+/// experiment store's point keys (`diq_exp::fnv1a64`) fold from
+/// [`FNV_OFFSET`] with it too.
 #[must_use]
 pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {

@@ -120,17 +120,10 @@ bench-replay bench="misschase":
 bench-adaptive:
     cargo run --release --example adaptive_geometry
 
-# Simulator-throughput benchmark: simulated instrs/sec per scheme, the
-# event-driven wakeup vs the frozen scan reference, appended to the local
-# store as BENCH_throughput.json — the same measurement CI's artifacts
-# track. Set DIQ_TP_BASELINE_BIN to a `diq` built from an older commit to
-# also record end-to-end speedup versus that binary.
-bench-throughput:
-    cargo build --release
-    cargo bench -p diq-bench --bench throughput
-
 # One fast end-to-end pass over the bench targets' machinery: compile all
-# 19 bench executables and run the two headline ones at a tiny budget.
+# 19 bench executables (18 figure/claim targets and the Criterion
+# `micro_schedulers`) and run the two headline ones at a tiny budget.
+# Simulator throughput is `diq bench`, not a bench target.
 bench-smoke:
     cargo bench --no-run --workspace
     DIQ_INSTRS=2000 cargo bench -p diq-bench --bench tab1_config

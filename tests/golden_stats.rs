@@ -456,7 +456,8 @@ fn speculation_produces_wrong_path_work_and_the_off_switch_is_exact() {
 /// static parent's numbers byte for byte — same cycles, same stall
 /// breakdown, same energy `f64`s, zero adaptive counters — across every
 /// machine mode (stall model, wrong path, load-hit speculation, both).
-/// Only the scheme label may differ.
+/// Only the scheme label may differ. It also fast-forwards exactly the
+/// cycles the static parent does: a disabled controller is no controller.
 #[test]
 fn disabled_controller_reproduces_the_static_parent_byte_for_byte() {
     let parent = SchedulerConfig::iq_64_64();
@@ -469,17 +470,23 @@ fn disabled_controller_reproduces_the_static_parent_byte_for_byte() {
         cfg.load_hit_speculation = load_hit_speculation;
         cfg.mem.dl1.size_bytes = 1024; // miss-heavy: exercise cancel/replay
         let spec = suite::by_name("mcf").unwrap();
-        let run = |sched: &SchedulerConfig| -> SimStats {
+        let run = |sched: &SchedulerConfig| -> (SimStats, u64) {
             let mut sim = Simulator::new(&cfg, sched);
             sim.set_benchmark("mcf");
-            if wrong_path {
+            let stats = if wrong_path {
                 sim.run_workload(&mut TraceGenerator::new(&spec), 3_000)
             } else {
                 sim.run_workload(&mut TraceSource::new(spec.generate(3_000)), 3_000)
-            }
+            };
+            (stats, sim.fast_forwarded_cycles())
         };
-        let want = run(&parent);
-        let mut got = run(&off);
+        let (want, want_skipped) = run(&parent);
+        let (mut got, got_skipped) = run(&off);
+        assert_eq!(
+            got_skipped, want_skipped,
+            "wp={wrong_path} lhs={load_hit_speculation}: IQ_64_64_adapt_off \
+             must fast-forward the same cycles as IQ_64_64"
+        );
         assert_eq!(got.resize_events, 0, "a disabled controller never resizes");
         assert_eq!(
             got.gated_bank_cycles, 0,
@@ -622,7 +629,8 @@ fn assert_identical_fast_forwarding(
 /// bit. And the skip must actually run — on mcf, the headline CAM and
 /// MixBUFF machines spend most of their cycles idle waiting on memory, and
 /// at least half of those cycles must be jumped over, or the equality
-/// above would prove nothing.
+/// above would prove nothing. The adaptive CAM, whose bank controller
+/// samples every cycle, must skip none.
 #[test]
 fn fast_forward_is_bit_identical_and_engages_on_miss_bound_runs() {
     let n = 10_000;
@@ -632,6 +640,12 @@ fn fast_forward_is_bit_identical_and_engages_on_miss_bound_runs() {
                 let (stats, skipped) =
                     assert_identical_fast_forwarding(&sched, bench, n, wrong_path, lhs);
                 let engaged = ["IQ_64_64", "MB_distr"].contains(&sched.label().as_str());
+                if sched.label() == "IQ_64_64_adapt" {
+                    assert_eq!(
+                        skipped, 0,
+                        "IQ_64_64_adapt/{bench}: a bank controller must run every cycle"
+                    );
+                }
                 if engaged && bench == "mcf" && !wrong_path && !lhs {
                     assert!(
                         2 * skipped >= stats.cycles,
