@@ -180,6 +180,25 @@ impl BankController {
         self.feedback += events;
     }
 
+    /// Ticks that can pass before the next one ends an epoch: the most
+    /// cycles [`tick_idle`](Self::tick_idle) may cover at once.
+    pub(crate) fn ticks_before_boundary(&self) -> u64 {
+        self.cfg.epoch_cycles - 1 - self.cycle_in_epoch
+    }
+
+    /// `cycles` ticks at an unchanged occupancy `len`, none of which ends
+    /// an epoch (`cycles <= ticks_before_boundary()`): exactly the state
+    /// `cycles` calls of [`tick`](Self::tick) leave, in integer arithmetic.
+    pub(crate) fn tick_idle(&mut self, len: usize, cycles: u64) {
+        debug_assert!(
+            cycles <= self.ticks_before_boundary(),
+            "idle ticks cross an epoch"
+        );
+        self.gated_bank_cycles += cycles * (self.banks - self.powered) as u64;
+        self.occ_sum += cycles * len as u64;
+        self.cycle_in_epoch += cycles;
+    }
+
     /// One cycle's controller update with the side's current occupancy.
     /// Called exactly once per `issue_cycle`; at an epoch boundary it may
     /// grow or (if occupancy already fits) shrink the powered-bank count.
@@ -227,5 +246,33 @@ impl BankController {
         self.cycle_in_epoch = 0;
         self.occ_sum = 0;
         self.feedback = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_ticks_equal_single_ticks() {
+        let cfg = AdaptiveConfig {
+            epoch_cycles: 16,
+            hysteresis_epochs: 1,
+            ..AdaptiveConfig::default()
+        };
+        for (warm, len) in [(0, 0), (5, 3), (21, 7), (40, 1)] {
+            let mut single = BankController::new(cfg, 64, 8);
+            for _ in 0..warm {
+                single.tick(len);
+            }
+            let mut bulk = single.clone();
+            let k = bulk.ticks_before_boundary();
+            bulk.tick_idle(len, k);
+            for _ in 0..k {
+                single.tick(len);
+            }
+            assert_eq!(format!("{bulk:?}"), format!("{single:?}"), "warm {warm}");
+            assert_eq!(bulk.ticks_before_boundary(), 0);
+        }
     }
 }

@@ -238,7 +238,7 @@ impl CamIssueQueue {
             tech,
             // Every entry may be a candidate at once.
             candidates: Vec::with_capacity(int_entries + fp_entries),
-            idle: IdleCharge::new(&[(Component::Select, 2)]),
+            idle: IdleCharge::new(&[(Component::BankIdle, 1), (Component::Select, 2)]),
         }
     }
 
@@ -398,17 +398,34 @@ impl Scheduler for CamIssueQueue {
         (ri + rf, gi + gf)
     }
 
-    /// Nothing in the static CAM reads the cycle number, and a rejected
-    /// dispatch charges nothing: an idle cycle repeats until something
-    /// outside the queue changes. Each repeat pays the selection pass — int
-    /// side, then FP side — over the same candidates that could not issue.
-    /// A bank controller samples occupancy and advances its epoch every
-    /// cycle, so with one present nothing is skipped.
+    /// Nothing in the CAM reads the cycle number, and a rejected dispatch
+    /// charges nothing: an idle cycle repeats until something outside the
+    /// queue changes. Each repeat pays the powered banks' retention (with
+    /// bank controllers), then the selection pass — int side, then FP
+    /// side — over the same candidates that could not issue.
+    ///
+    /// A bank controller samples occupancy every cycle, and at an epoch
+    /// boundary may resize, which changes the retention charge and the
+    /// dispatch capacity. So with controllers the skip stops short of the
+    /// first cycle whose sample ends an epoch; that cycle runs normally.
     fn idle_until(&mut self, now: Cycle, limit: Cycle, _stalled: Option<&DispatchInst>) -> Cycle {
-        if self.int.ctrl.is_some() || self.fp.ctrl.is_some() {
+        let ticks = [&self.int, &self.fp]
+            .iter()
+            .filter_map(|array| array.ctrl.as_ref())
+            .map(BankController::ticks_before_boundary)
+            .min()
+            .unwrap_or(u64::MAX);
+        let wake = limit.min(now.saturating_add(ticks));
+        if wake == now {
             return now;
         }
         self.idle.clear();
+        if let (Some(int), Some(fp)) = (&self.int.ctrl, &self.fp.ctrl) {
+            self.idle.push(
+                Component::BankIdle,
+                (int.powered() + fp.powered()) as f64 * self.energy_model.bank_idle,
+            );
+        }
         for array in [&self.int, &self.fp] {
             if array.store.len() > 0 {
                 self.idle.push(
@@ -419,8 +436,13 @@ impl Scheduler for CamIssueQueue {
                 );
             }
         }
-        self.idle.replay(&mut self.meter, limit - now);
-        limit
+        self.idle.replay(&mut self.meter, wake - now);
+        for array in [&mut self.int, &mut self.fp] {
+            if let Some(ctrl) = &mut array.ctrl {
+                ctrl.tick_idle(array.store.len(), wake - now);
+            }
+        }
+        wake
     }
 }
 
@@ -742,5 +764,42 @@ mod tests {
         assert_eq!(s.int.effective_capacity(), 8);
         assert_eq!(s.adaptive_stats(), (0, 0));
         assert_eq!(s.energy().get(Component::BankIdle), 0.0);
+    }
+
+    #[test]
+    fn idle_until_charges_controllers_up_to_the_epoch_boundary() {
+        let cfg = AdaptiveConfig {
+            epoch_cycles: 8,
+            hysteresis_epochs: 1,
+            min_banks: 1,
+            ..AdaptiveConfig::default()
+        };
+        let [mut skipped, mut stepped] = [tiny(cfg), tiny(cfg)];
+        for s in [&mut skipped, &mut stepped] {
+            let mut d = di(1, OpClass::IntAlu, Some(1), [Some(40), None]);
+            d.srcs_ready = [false, true];
+            s.try_dispatch(&d, 0).unwrap();
+            idle_cycles(s, 3);
+        }
+        // Three ticks into an 8-cycle epoch: cycles 3..7 repeat the idle
+        // cycle, and cycle 7's sample ends the epoch, so it must run.
+        assert_eq!(skipped.idle_until(3, 100, None), 7);
+        for c in 3..7 {
+            stepped.issue_cycle(c, &mut BoundedSink::all_ready());
+        }
+        let state = |s: &CamIssueQueue| format!("{:?} {:?}", s.int.ctrl, s.fp.ctrl);
+        assert_eq!(state(&skipped), state(&stepped));
+        for (c, pj) in stepped.energy().breakdown() {
+            assert_eq!(skipped.energy().get(c).to_bits(), pj.to_bits(), "{c}");
+        }
+        // On the boundary itself nothing can be skipped.
+        assert_eq!(skipped.idle_until(7, 100, None), 7);
+        for s in [&mut skipped, &mut stepped] {
+            for c in 7..40 {
+                s.issue_cycle(c, &mut BoundedSink::all_ready());
+            }
+        }
+        assert_eq!(state(&skipped), state(&stepped));
+        assert_eq!(skipped.adaptive_stats(), stepped.adaptive_stats());
     }
 }

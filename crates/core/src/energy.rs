@@ -4,6 +4,7 @@
 //! and charge them at the per-access energies computed here from
 //! `diq-power`'s array models. Everything is evaluated once at construction.
 
+use crate::fifo::Entry;
 use crate::fu::FuTopology;
 use crate::DispatchInst;
 use diq_isa::{FuKind, OpClass};
@@ -265,6 +266,19 @@ impl IdleCharge {
     /// The add `EnergyMeter::add_events(component, events, pj)` makes.
     pub(crate) fn push_events(&mut self, component: Component, events: u64, pj: f64) {
         self.push(component, events as f64 * pj);
+    }
+
+    /// One cycle's head polls of a FIFO array, as the selection pass
+    /// charges them: a `regs_ready` read per present operand of every
+    /// unheld head.
+    pub(crate) fn push_head_polls(
+        &mut self,
+        heads: impl Iterator<Item = (usize, Entry)>,
+        em: &FifoEnergy,
+    ) {
+        for (_, e) in heads {
+            self.push_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
+        }
     }
 
     /// The steering-table reads a FIFO-steered scheme charges for a

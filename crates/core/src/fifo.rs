@@ -189,14 +189,6 @@ impl FifoArray {
         })
     }
 
-    /// One cycle's head polls, as the selection pass charges them: a
-    /// `regs_ready` read per present operand of every unheld head.
-    pub(crate) fn push_head_polls(&self, idle: &mut IdleCharge, em: &FifoEnergy) {
-        for (_, e) in self.heads() {
-            idle.push_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-        }
-    }
-
     /// Marks the head of queue `q` as held after a speculative issue: it
     /// keeps its slot (dispatch still sees a full entry) but stops being a
     /// selection candidate until [`cancel`](Self::cancel) reverts it.
@@ -461,7 +453,8 @@ impl Scheduler for IssueFifo {
     fn idle_until(&mut self, now: Cycle, limit: Cycle, stalled: Option<&DispatchInst>) -> Cycle {
         self.idle.clear();
         for array in [&self.int, &self.fp] {
-            array.push_head_polls(&mut self.idle, &self.energy_model[array.side().index()]);
+            self.idle
+                .push_head_polls(array.heads(), &self.energy_model[array.side().index()]);
         }
         if let Some(d) = stalled {
             self.idle.push_steering_reads(d, &self.energy_model);

@@ -9,7 +9,7 @@
 //! event-driven: entries carry ready bits flipped by per-tag wakeup, while
 //! the energy model still charges the per-cycle scoreboard polls.
 
-use crate::energy::FifoEnergy;
+use crate::energy::{FifoEnergy, IdleCharge};
 use crate::estimate::IssueTimeEstimator;
 use crate::fifo::{Entry, FifoArray};
 use crate::fu::FuTopology;
@@ -122,6 +122,21 @@ impl LatQueues {
         }
     }
 
+    /// The first cycle at which an FP instruction rejected at dispatch can
+    /// be placed, if nothing else changes. It was rejected because no
+    /// queue is empty and every non-full queue's tail is estimated to
+    /// issue no earlier than the instruction itself; its own estimate is
+    /// at least `now + 1`, so the first non-full tail estimate `t` is
+    /// overtaken at cycle `t`. `None` when every queue is full.
+    fn next_placement(&self) -> Option<Cycle> {
+        self.queues
+            .iter()
+            .zip(&self.tail_est)
+            .filter(|(q, _)| q.len() < self.capacity)
+            .filter_map(|(_, &t)| t)
+            .min()
+    }
+
     fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
         self.queues.iter().enumerate().filter_map(|(q, fifo)| {
             fifo.front()
@@ -187,6 +202,9 @@ pub struct LatFifo {
     meter: EnergyMeter,
     topology: FuTopology,
     candidates: Vec<(u64, Side, usize, Entry)>,
+    /// One quiescent cycle's adds: a head poll per FIFO, one rejected
+    /// dispatch.
+    idle: IdleCharge,
 }
 
 impl LatFifo {
@@ -215,6 +233,10 @@ impl LatFifo {
             topology,
             // At most one candidate per FIFO head (see `IssueFifo`).
             candidates: Vec::with_capacity(int.0 + fp.0),
+            idle: IdleCharge::new(&[
+                (Component::RegsReady, int.0 + fp.0),
+                (Component::Qrename, 1),
+            ]),
         }
     }
 }
@@ -338,6 +360,32 @@ impl Scheduler for LatFifo {
     fn fu_topology(&self) -> &FuTopology {
         &self.topology
     }
+
+    /// As in `IssueFifo`, an idle cycle repeats: integer head polls, FP
+    /// head polls, then the stalled instruction's steering-table reads.
+    /// The one decision that reads the cycle number is the placement of a
+    /// rejected FP instruction, whose issue estimate grows with `now`: it
+    /// succeeds at the first non-full queue's tail estimate, which is
+    /// therefore the wake.
+    fn idle_until(&mut self, now: Cycle, limit: Cycle, stalled: Option<&DispatchInst>) -> Cycle {
+        let wake = match stalled {
+            Some(d) if d.side() == Side::Fp => self
+                .fp
+                .next_placement()
+                .map_or(limit, |t| t.clamp(now, limit)),
+            _ => limit,
+        };
+        self.idle.clear();
+        self.idle
+            .push_head_polls(self.int.heads(), &self.energy_model[Side::Int.index()]);
+        self.idle
+            .push_head_polls(self.fp.heads(), &self.energy_model[Side::Fp.index()]);
+        if let Some(d) = stalled {
+            self.idle.push_steering_reads(d, &self.energy_model);
+        }
+        self.idle.replay(&mut self.meter, wake - now);
+        wake
+    }
 }
 
 impl LatFifo {
@@ -449,5 +497,28 @@ mod tests {
         let mut sink = BoundedSink::all_ready();
         s.issue_cycle(0, &mut sink);
         assert_eq!(sink.issued.len(), 4, "one issue per queue head");
+    }
+
+    #[test]
+    fn idle_until_wakes_when_a_stalled_fp_estimate_passes_a_tail() {
+        let cfg = ProcessorConfig::hpca2004();
+        // One FP queue: a divide, then its dependent, whose estimate lies
+        // a divide latency ahead.
+        let mut s = crate::SchedulerConfig::lat_fifo(4, 8, 1, 4).build(&cfg);
+        s.try_dispatch(&fp_di(1, OpClass::FpDiv, Some(4), [None, None]), 0)
+            .unwrap();
+        s.try_dispatch(&fp_di(2, OpClass::FpAdd, Some(5), [Some(4), None]), 0)
+            .unwrap();
+        // An independent instruction cannot go behind that tail, and there
+        // is no empty queue.
+        let stalled = fp_di(3, OpClass::FpAdd, Some(6), [None, None]);
+        assert!(s.try_dispatch(&stalled, 1).is_err());
+        let wake = s.idle_until(2, 1_000, Some(&stalled));
+        assert!(wake > 2 && wake < 1_000, "wake {wake}");
+        assert!(s.try_dispatch(&stalled, wake - 1).is_err());
+        assert!(s.try_dispatch(&stalled, wake).is_ok());
+        // An integer stall does not depend on the cycle: skip to the limit.
+        let int = crate::test_util::di(4, OpClass::IntAlu, Some(3), [None, None]);
+        assert_eq!(s.idle_until(wake + 1, 1_000, Some(&int)), 1_000);
     }
 }

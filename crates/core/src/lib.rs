@@ -277,14 +277,19 @@ pub trait Scheduler {
     /// `now - 1` was charged — the selection pass's adds, then the failed
     /// dispatch attempt's — replayed add by add, never multiplied out.
     ///
+    /// Every event-driven scheme overrides this. A [`CamIssueQueue`] with
+    /// bank controllers (`IQ_64_64_adapt`) charges the controllers' ticks
+    /// in bulk and stops short of their next epoch boundary, whose cycle
+    /// runs normally. [`LatFifo`] wakes at the first cycle a rejected FP
+    /// instruction can be placed: the smallest tail estimate among its
+    /// non-full FP queues (any other stall does not depend on the cycle).
+    /// [`MixBuff`] wakes at its chains' next latency-code change.
+    ///
     /// The default skips nothing (returns `now`). It is kept by the frozen
     /// scan twins in [`reference`](mod@reference), which are the golden
-    /// proof's oracle and so must run every cycle; by a [`CamIssueQueue`]
-    /// with a bank controller (`IQ_64_64_adapt`), which samples occupancy
-    /// and advances its epoch every cycle; by
-    /// [`LatFifo`], whose FP placement compares issue-time estimates with
-    /// the current cycle; and by wrapping schedulers that do not forward
-    /// this call, which therefore run every cycle as before.
+    /// proof's oracle and so must run every cycle, and by wrapping
+    /// schedulers that do not forward this call, which therefore run every
+    /// cycle as before.
     fn idle_until(&mut self, now: Cycle, _limit: Cycle, _stalled: Option<&DispatchInst>) -> Cycle {
         now
     }

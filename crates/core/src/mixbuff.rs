@@ -81,7 +81,19 @@ impl MixQueues {
             store: EntryStore::new(queues * capacity),
             capacity,
             chains_per_queue,
-            chains: vec![vec![ChainState::default(); chains_per_queue]; queues],
+            // Built chain by chain (not `vec![..; n]`, whose clones drop
+            // capacity), each with room for a whole queue: a chain never
+            // reallocates its member list.
+            chains: (0..queues)
+                .map(|_| {
+                    (0..chains_per_queue)
+                        .map(|_| ChainState {
+                            members: VecDeque::with_capacity(capacity),
+                            ..ChainState::default()
+                        })
+                        .collect()
+                })
+                .collect(),
             queue_len: vec![0; queues],
             waiters: WakeupMap::new(queues * capacity, regs),
             steer: vec![None; diq_isa::ARCH_REGS_PER_CLASS],
@@ -151,7 +163,11 @@ impl MixQueues {
                             *s = None;
                         }
                     }
-                    self.chains[q][c] = ChainState::default();
+                    // Reset in place: a free chain has no members, and
+                    // its member list keeps its capacity.
+                    let ch = &mut self.chains[q][c];
+                    ch.last = None;
+                    ch.ready = 0;
                     self.place(q, c, d);
                     return Ok(q);
                 }
@@ -541,8 +557,8 @@ impl Scheduler for MixBuff {
             return now;
         }
         self.idle.clear();
-        self.int
-            .push_head_polls(&mut self.idle, &self.energy_model[Side::Int.index()]);
+        self.idle
+            .push_head_polls(self.int.heads(), &self.energy_model[Side::Int.index()]);
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
         for q in 0..self.fp.queues() {

@@ -50,8 +50,12 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct Cache {
     geom: CacheGeometry,
-    /// `sets[i]` is ordered most-recently-used first.
-    sets: Vec<Vec<u64>>,
+    /// `assoc` ways per set, set after set, each set most-recently-used
+    /// first. Only the first `fill[set]` ways of a set are valid: there is
+    /// no sentinel tag, since with 1-byte lines every `u64` is a tag.
+    tags: Box<[u64]>,
+    /// Valid ways per set.
+    fill: Box<[u32]>,
     stats: CacheStats,
     line_shift: u32,
 }
@@ -66,7 +70,7 @@ impl Cache {
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
         assert!(geom.line_bytes.is_power_of_two() && geom.line_bytes > 0);
-        assert!(geom.assoc > 0);
+        assert!(geom.assoc > 0 && u32::try_from(geom.assoc).is_ok());
         let sets = geom.sets();
         assert!(
             sets > 0 && sets.is_power_of_two(),
@@ -74,10 +78,9 @@ impl Cache {
         );
         Cache {
             geom,
-            // Not `vec![Vec::with_capacity(..); sets]`: cloning an empty
-            // Vec drops its capacity, which would make every set allocate
-            // on first touch deep into a run.
-            sets: (0..sets).map(|_| Vec::with_capacity(geom.assoc)).collect(),
+            // Two allocations for the whole array, not one per set.
+            tags: vec![0; sets * geom.assoc].into_boxed_slice(),
+            fill: vec![0; sets].into_boxed_slice(),
             stats: CacheStats::default(),
             line_shift: geom.line_bytes.trailing_zeros(),
         }
@@ -85,8 +88,14 @@ impl Cache {
 
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        let idx = (line as usize) & (self.sets.len() - 1);
+        let idx = (line as usize) & (self.fill.len() - 1);
         (idx, line)
+    }
+
+    /// The valid ways of set `idx`, MRU first.
+    fn set(&self, idx: usize) -> &[u64] {
+        let base = idx * self.geom.assoc;
+        &self.tags[base..base + self.fill[idx] as usize]
     }
 
     /// Accesses `addr`: returns `true` on a hit. Misses fill the line,
@@ -95,26 +104,29 @@ impl Cache {
         self.stats.accesses += 1;
         let (idx, tag) = self.index_and_tag(addr);
         let assoc = self.geom.assoc;
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.stats.hits += 1;
-            true
-        } else {
-            if set.len() == assoc {
-                set.pop();
+        let n = self.fill[idx] as usize;
+        let set = &mut self.tags[idx * assoc..(idx + 1) * assoc];
+        // A hit moves its way to the front; a miss shifts every valid way
+        // back by one (the LRU way falls off a full set) and fills way 0.
+        let (hit, shift) = match set[..n].iter().position(|&t| t == tag) {
+            Some(pos) => (true, pos),
+            None if n < assoc => {
+                self.fill[idx] += 1;
+                (false, n)
             }
-            set.insert(0, tag);
-            false
-        }
+            None => (false, assoc - 1),
+        };
+        set.copy_within(..shift, 1);
+        set[0] = tag;
+        self.stats.hits += u64::from(hit);
+        hit
     }
 
     /// Checks residency without updating LRU state or statistics.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
-        self.sets[idx].contains(&tag)
+        self.set(idx).contains(&tag)
     }
 
     /// Statistics so far.
@@ -238,5 +250,116 @@ mod tests {
     #[test]
     fn miss_rate_of_empty_cache_is_zero() {
         assert_eq!(small().stats().miss_rate(), 0.0);
+    }
+
+    /// The nested-`Vec` LRU this cache replaced: one `Vec` per set, MRU
+    /// first, `remove` + `insert(0)` on a hit, `pop` + `insert(0)` on a
+    /// miss into a full set. The flat cache must agree with it access by
+    /// access.
+    struct NestedLru {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        line_shift: u32,
+        stats: CacheStats,
+    }
+
+    impl NestedLru {
+        fn new(geom: CacheGeometry) -> Self {
+            NestedLru {
+                sets: vec![Vec::new(); geom.sets()],
+                assoc: geom.assoc,
+                line_shift: geom.line_bytes.trailing_zeros(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn index_and_tag(&self, addr: u64) -> (usize, u64) {
+            let line = addr >> self.line_shift;
+            ((line as usize) & (self.sets.len() - 1), line)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.stats.accesses += 1;
+            let (idx, tag) = self.index_and_tag(addr);
+            let set = &mut self.sets[idx];
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                self.stats.hits += 1;
+                true
+            } else {
+                if set.len() == self.assoc {
+                    set.pop();
+                }
+                set.insert(0, tag);
+                false
+            }
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (idx, tag) = self.index_and_tag(addr);
+            self.sets[idx].contains(&tag)
+        }
+    }
+
+    /// SplitMix64: a seeded stream, so every case is reproducible.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn flat_sets_match_the_nested_vec_lru() {
+        let geometries = [
+            (64, 1, 8),   // direct-mapped
+            (256, 2, 32), // 2-way
+            (512, 8, 16), // 8-way
+            (16, 8, 1),   // 8-way, 1-byte lines: every u64 is a tag
+            (8, 1, 1),    // direct-mapped, 1-byte lines
+            (16, 2, 1),   // 2-way, 1-byte lines
+        ];
+        for (size_bytes, assoc, line_bytes) in geometries {
+            let geom = CacheGeometry {
+                size_bytes,
+                assoc,
+                line_bytes,
+                latency: 1,
+                ports: 0,
+            };
+            for seed in 0..32u64 {
+                let mut flat = Cache::new(geom);
+                let mut nested = NestedLru::new(geom);
+                let mut rng = seed;
+                // Mostly a window a few times the capacity (hits, misses
+                // and evictions), with tags at the ends of the u64 range.
+                let window = 4 * size_bytes as u64;
+                for step in 0..2_000 {
+                    let r = splitmix(&mut rng);
+                    let addr = match r % 16 {
+                        0 => u64::MAX - (r >> 60),
+                        1 => r >> 60,
+                        2 => r,
+                        _ => (r >> 8) % window,
+                    };
+                    if r & (1 << 7) == 0 {
+                        assert_eq!(
+                            flat.access(addr),
+                            nested.access(addr),
+                            "{geom:?} seed {seed} step {step}: access {addr:#x}"
+                        );
+                    } else {
+                        assert_eq!(
+                            flat.probe(addr),
+                            nested.probe(addr),
+                            "{geom:?} seed {seed} step {step}: probe {addr:#x}"
+                        );
+                    }
+                }
+                assert_eq!(flat.stats(), nested.stats, "{geom:?} seed {seed}");
+            }
+        }
     }
 }

@@ -34,6 +34,9 @@ const F_INVARIANT0: u8 = 0;
 const F_INVARIANT1: u8 = 1;
 const FP_CHAIN_BASE: u8 = 4;
 
+/// Deepest call nesting the generator emits.
+const MAX_CALL_DEPTH: usize = 4;
+
 /// How often (in instructions) a stream induction register is advanced.
 const INDUCTION_PERIOD: u64 = 13;
 
@@ -249,7 +252,8 @@ impl TraceGenerator {
                 emitted: 0,
                 block: 0,
                 intra: 0,
-                call_stack: Vec::new(),
+                // Sized up front: a program's first call may come late.
+                call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
                 streams: [0, 0, 0, 0],
                 stream_rr: 0,
                 aux_feed: [None, None],
@@ -389,17 +393,19 @@ impl TraceGenerator {
             return r;
         }
         if self.state.rng.random_bool(self.spec.cross_dep_prob) {
-            // A same-class neighbour chain, if one exists.
-            let peers: Vec<ArchReg> = self
-                .state
-                .chains
-                .iter()
-                .map(|c| c.reg)
-                .filter(|r| r.class() == class && *r != own)
-                .collect();
-            if !peers.is_empty() {
-                let k = self.state.rng.random_range(0..peers.len());
-                return peers[k];
+            // A same-class neighbour chain, if one exists. Counted, then
+            // walked to, so the pick never allocates.
+            let peers = || {
+                self.state
+                    .chains
+                    .iter()
+                    .map(|c| c.reg)
+                    .filter(move |r| r.class() == class && *r != own)
+            };
+            let n = peers().count();
+            if n > 0 {
+                let k = self.state.rng.random_range(0..n);
+                return peers().nth(k).expect("k < peer count");
             }
         }
         self.second_invariant_for(class)
@@ -448,7 +454,8 @@ impl TraceGenerator {
             self.state.intra = (ret_pc % BLOCK_BYTES) / INST_BYTES;
             return Inst::jump(BranchKind::Return, ret_pc).at(pc);
         }
-        if self.state.call_stack.len() < 4 && self.state.rng.random_bool(self.spec.branch.call_frac)
+        if self.state.call_stack.len() < MAX_CALL_DEPTH
+            && self.state.rng.random_bool(self.spec.branch.call_frac)
         {
             let pc = self.pc();
             let until_return = self.state.rng.random_range(8..32u32);

@@ -775,7 +775,32 @@ fn cmd_submit(args: &[String]) {
     }
 }
 
+/// Lets a closed stdout end the process quietly, as it ends any Unix
+/// filter (`diq run … | head -1`), instead of `println!` panicking on
+/// EPIPE. Rust starts programs with SIGPIPE ignored; this restores the
+/// default disposition. Sockets are unaffected: the standard library
+/// writes to them without raising SIGPIPE (`MSG_NOSIGNAL`, or
+/// `SO_NOSIGPIPE` on Apple targets), so `serve` and `worker` still see a
+/// vanished peer as an error.
+#[cfg(unix)]
+fn die_quietly_on_closed_stdout() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is async-signal-safe and called before any other
+    // thread exists; SIG_DFL installs no Rust code as a handler.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn die_quietly_on_closed_stdout() {}
+
 fn main() {
+    die_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {

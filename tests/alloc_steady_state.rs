@@ -15,7 +15,7 @@
 //! land in another test's window.
 
 use diq::isa::ProcessorConfig;
-use diq::pipeline::{Simulator, TraceSource};
+use diq::pipeline::{Simulator, TraceSource, Workload};
 use diq::sched::SchedulerConfig;
 use diq::workload::{suite, trace, TraceGenerator, TraceReader};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,13 +102,28 @@ fn allocations_during_replay(
     after - before
 }
 
+/// Allocations while running `instructions` drawn straight from a
+/// streaming workload (generator construction excluded).
+fn allocations_during_generation<W: Workload>(
+    cfg: &ProcessorConfig,
+    sched: &SchedulerConfig,
+    mut workload: W,
+    instructions: u64,
+) -> u64 {
+    let mut sim = Simulator::new(cfg, sched);
+    let before = allocations();
+    let stats = sim.run_workload(&mut workload, instructions);
+    let after = allocations();
+    assert_eq!(stats.committed, instructions);
+    after - before
+}
+
 /// Replaying a 1M-instruction trace allocates no more than replaying a
 /// short prefix of it: reader memory is a function of the block geometry,
-/// never of trace length. In wrong-path mode the pipeline's recovery
-/// machinery itself allocates per mispredict (pre-existing, source-
-/// independent), so there the reader is held to the generator's bar: a
-/// `Copy` trace-position checkpoint must never allocate more than the
-/// generator's buffer-reusing checkpoints.
+/// never of trace length. The same holds in wrong-path mode, for the
+/// replay and for the generator: a `Copy` trace-position checkpoint, the
+/// generator's buffer-reusing checkpoints and the pipeline's recovery
+/// machinery allocate nothing per mispredict.
 #[test]
 fn trace_replay_allocates_nothing_in_steady_state() {
     let cfg = ProcessorConfig::hpca2004();
@@ -145,33 +160,37 @@ fn trace_replay_allocates_nothing_in_steady_state() {
     let mut wp_cfg = cfg;
     wp_cfg.wrong_path = true;
     for sched in [SchedulerConfig::mb_distr(), SchedulerConfig::iq_64_64()] {
-        let mut sim = Simulator::new(&wp_cfg, &sched);
-        let mut generator = TraceGenerator::new(&spec);
-        let before = allocations();
-        let _ = sim.run_workload(&mut generator, long);
-        let from_generator = allocations() - before;
-
-        let mut reader = TraceReader::open(&path).unwrap();
-        let from_replay = allocations_during_replay(&wp_cfg, &sched, &mut reader, long, true);
-        assert!(
-            from_replay <= from_generator,
-            "{}: wrong-path replay made {from_replay} allocations, the generator \
-             {from_generator} — TracePos checkpoints must not add allocation",
-            sched.label()
-        );
+        let from_generator = [short, long]
+            .map(|n| allocations_during_generation(&wp_cfg, &sched, TraceGenerator::new(&spec), n));
+        let from_replay = [short, long].map(|n| {
+            let mut reader = TraceReader::open(&path).unwrap();
+            allocations_during_replay(&wp_cfg, &sched, &mut reader, n, true)
+        });
+        for (source, [warm, sustained]) in [("generator", from_generator), ("replay", from_replay)]
+        {
+            assert_eq!(
+                warm,
+                sustained,
+                "{}: wrong-path {source} made {warm} allocations for {short} instrs \
+                 but {sustained} for {long} — recovery allocates per mispredict",
+                sched.label()
+            );
+        }
     }
     let _ = std::fs::remove_file(path);
 }
 
 /// gzip keeps the scheduler busy every cycle; `kernel:mcf` idles on
 /// memory most of the time, so its runs also hold the quiescent-cycle
-/// fast-forward's skip windows to zero steady-state allocation.
+/// fast-forward's skip windows to zero steady-state allocation; swim is
+/// FP code, the only kind that reaches the FP queues (MixBUFF's chains,
+/// LatFIFO's estimate-placed FIFOs).
 #[test]
 fn batched_loop_allocates_nothing_in_steady_state() {
     let cfg = ProcessorConfig::hpca2004();
     let short = 5_000u64;
     let long = 20_000u64;
-    for bench in ["gzip", "mcf"] {
+    for bench in ["gzip", "mcf", "swim"] {
         let spec = suite::by_name(bench).expect("suite benchmark");
         let trace = spec.generate(long as usize);
         for sched in SchedulerConfig::known() {
@@ -187,5 +206,58 @@ fn batched_loop_allocates_nothing_in_steady_state() {
                 sustained
             );
         }
+    }
+}
+
+/// The generator streams its instructions without allocating per pick:
+/// run straight from it, under the stall model (through `TraceSource`)
+/// and as a speculative wrong-path source, a 4× longer run allocates
+/// exactly as much as a short one.
+#[test]
+fn streaming_generator_allocates_nothing_in_steady_state() {
+    let cfg = ProcessorConfig::hpca2004();
+    let mut wp_cfg = cfg;
+    wp_cfg.wrong_path = true;
+    let short = 5_000u64;
+    let long = 20_000u64;
+    for bench in ["gzip", "mcf", "swim"] {
+        let spec = suite::by_name(bench).expect("suite benchmark");
+        for sched in SchedulerConfig::known() {
+            let stall = [short, long].map(|n| {
+                let source = TraceSource::new(TraceGenerator::new(&spec).take(n as usize));
+                allocations_during_generation(&cfg, &sched, source, n)
+            });
+            let wrong_path = [short, long].map(|n| {
+                allocations_during_generation(&wp_cfg, &sched, TraceGenerator::new(&spec), n)
+            });
+            for (model, [warm, sustained]) in [("stall", stall), ("wrong-path", wrong_path)] {
+                assert_eq!(
+                    warm,
+                    sustained,
+                    "{}/{bench} ({model}): {warm} allocations for {short} instrs but \
+                     {sustained} for {long} — the generator allocates in steady state",
+                    sched.label()
+                );
+            }
+        }
+    }
+}
+
+/// Building a simulator is a fixed cost of every sweep point, so it is
+/// pinned: the cache and BTB tag arrays are one allocation each, not one
+/// per set (that was about 3,900 allocations per simulator).
+#[test]
+fn simulator_construction_allocates_a_bounded_amount() {
+    const MAX_ALLOCATIONS: u64 = 256;
+    let cfg = ProcessorConfig::hpca2004();
+    for sched in SchedulerConfig::known() {
+        let before = allocations();
+        drop(Simulator::new(&cfg, &sched));
+        let made = allocations() - before;
+        assert!(
+            made <= MAX_ALLOCATIONS,
+            "{}: Simulator::new made {made} allocations (at most {MAX_ALLOCATIONS})",
+            sched.label()
+        );
     }
 }

@@ -149,3 +149,46 @@ fn diq_run_resolves_workload_uris() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("error"), "{stderr}");
 }
+
+/// `diq run … | head -1`: a reader that goes away must end `diq` quietly,
+/// not with a `println!` panic and a backtrace. Two shapes: the read end
+/// closed before anything is written (every write fails, so this one
+/// cannot pass by luck of timing), and closed after the first line.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let run = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_diq"));
+        cmd.args(["run", "IQ_64_64", "kernel:gzip", "2000"])
+            .stderr(Stdio::piped());
+        cmd
+    };
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let closed_first = run().stdout(writer).output().expect("run `diq run`");
+
+    let mut child = run()
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn `diq run`");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.contains("IQ_64_64"), "first line: {first:?}");
+    let closed_after_one_line = child.wait_with_output().expect("wait for `diq run`");
+
+    for (shape, out) in [
+        ("closed before output", closed_first),
+        ("closed after one line", closed_after_one_line),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "{shape}: `diq run` panicked: {stderr}"
+        );
+        assert_ne!(out.status.code(), Some(101), "{shape}: panic exit status");
+    }
+}
