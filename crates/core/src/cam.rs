@@ -178,6 +178,18 @@ impl CamArray {
     }
 }
 
+/// Select-candidate key layout: `age << AGE_SHIFT | side | slot`. Sorting
+/// the keys sorts by age (oldest first); ids stay far below 2^43 and one
+/// side holds far fewer than 2^20 entries.
+const AGE_SHIFT: u32 = 21;
+const FP_BIT: u64 = 1 << 20;
+const SLOT_MASK: u64 = FP_BIT - 1;
+
+fn select_key(age: InstId, side: Side, slot: u32) -> u64 {
+    debug_assert!(age.0 < 1 << (64 - AGE_SHIFT) && u64::from(slot) <= SLOT_MASK);
+    (age.0 << AGE_SHIFT) | (side.index() as u64 * FP_BIT) | u64::from(slot)
+}
+
 /// The conventional out-of-order issue queue, optionally with adaptive
 /// bank power-gating.
 ///
@@ -202,7 +214,7 @@ pub struct CamIssueQueue {
     topology: FuTopology,
     tech: TechParams,
     /// Per-cycle selection scratch, reused across cycles.
-    candidates: Vec<(u64, Side, u32)>,
+    candidates: Vec<u64>,
     /// One quiescent cycle's adds: a select charge per non-empty side.
     idle: IdleCharge,
 }
@@ -284,9 +296,9 @@ impl Scheduler for CamIssueQueue {
         candidates.clear();
         for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
             let before = candidates.len();
-            array
-                .store
-                .for_each_selectable(|slot| candidates.push((array.store.id(slot).0, side, slot)));
+            array.store.for_each_selectable(|slot| {
+                candidates.push(select_key(array.store.id(slot), side, slot));
+            });
             // Selection logic consumes energy whenever the queue has
             // anything to arbitrate. The candidate count just gathered IS
             // the selectable count — one bitset pass serves both.
@@ -299,14 +311,16 @@ impl Scheduler for CamIssueQueue {
                 );
             }
         }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(age, side, slot) in &candidates {
-            let array = match side {
-                Side::Int => &mut self.int,
-                Side::Fp => &mut self.fp,
+        candidates.sort_unstable();
+        for &key in &candidates {
+            let slot = (key & SLOT_MASK) as u32;
+            let array = if key & FP_BIT == 0 {
+                &mut self.int
+            } else {
+                &mut self.fp
             };
             let e = array.store.snapshot(slot);
-            if sink.try_issue(InstId(age), e.op, None) {
+            if sink.try_issue(InstId(key >> AGE_SHIFT), e.op, None) {
                 // Both passes of a speculative issue pay the entry read and
                 // the operand muxing; only a confirmed issue frees the slot.
                 if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {

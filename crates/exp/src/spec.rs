@@ -291,6 +291,25 @@ pub struct MachineKnobs {
 }
 
 impl MachineKnobs {
+    /// Rejects a zero width or capacity, naming the first such knob: that
+    /// machine never commits, and would only fail as a deadlock deep into
+    /// the run.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let knobs = [
+            ("fetch_width", self.fetch_width),
+            ("decode_width", self.decode_width),
+            ("commit_width", self.commit_width),
+            ("issue_width_int", self.issue_width_int),
+            ("issue_width_fp", self.issue_width_fp),
+            ("rob_entries", self.rob_entries),
+            ("fetch_queue", self.fetch_queue),
+        ];
+        match knobs.iter().find(|(_, v)| *v == Some(0)) {
+            Some((knob, _)) => Err(format!("`{knob}` must be at least 1")),
+            None => Ok(()),
+        }
+    }
+
     /// The base machine with these overrides applied.
     #[must_use]
     pub fn apply(&self, base: &ProcessorConfig) -> ProcessorConfig {
@@ -543,6 +562,9 @@ impl ExperimentSpec {
         if self.machines.is_empty() {
             return Err("empty machine axis".into());
         }
+        for (i, m) in self.machines.iter().enumerate() {
+            m.validate().map_err(|e| format!("machines[{i}]: {e}"))?;
+        }
         Ok(())
     }
 
@@ -748,6 +770,34 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("machines[0]"), "{err}");
         assert!(err.contains("rob_size"), "{err}");
+    }
+
+    /// A zero width or capacity would deadlock the point deep into the
+    /// run; validation rejects it up front and names the knob.
+    #[test]
+    fn zero_width_and_capacity_knobs_are_rejected() {
+        for knob in [
+            "fetch_width",
+            "decode_width",
+            "commit_width",
+            "issue_width_int",
+            "issue_width_fp",
+            "rob_entries",
+            "fetch_queue",
+        ] {
+            let json = format!(
+                r#"{{"name":"x","schemes":["MB_distr"],"workloads":["gzip"],
+                    "machines":[{{}}, {{"{knob}":0}}]}}"#
+            );
+            let err = ExperimentSpec::from_json(&json).unwrap_err();
+            assert!(err.contains("machines[1]"), "{err}");
+            assert!(err.contains(&format!("`{knob}`")), "{err}");
+            let one = json.replace(":0}", ":1}");
+            assert!(
+                ExperimentSpec::from_json(&one).is_ok(),
+                "{knob}: 1 is valid"
+            );
+        }
     }
 
     #[test]

@@ -139,6 +139,14 @@ pub(crate) enum EventKind {
     SpecWakeup,
 }
 
+/// The same-cycle drain order `(id, kind, token)` as one integer: the id
+/// and kind share the high word (ids stay far below 2^61), the token fills
+/// the low word.
+fn drain_key(id: InstId, kind: EventKind, token: u64) -> u128 {
+    debug_assert!(id.0 < 1 << 61, "instruction id overflows the drain key");
+    (u128::from(id.0 << 3 | kind as u64) << 64) | u128::from(token)
+}
+
 /// Calendar slots: must exceed the longest completion latency the machine
 /// schedules (worst main-memory access); rarer, farther events overflow
 /// into a heap.
@@ -165,9 +173,9 @@ const OCCUPANCY_WORDS: usize = WHEEL_SLOTS / 64;
 ///
 /// Implemented as a calendar wheel: events land in the slot of their due
 /// cycle (O(1) schedule), and each simulated cycle drains exactly one slot
-/// (O(events) — a per-slot sort restores the global `(cycle, id, kind)`
-/// order a binary heap would produce). Events farther out than the wheel
-/// go to a small overflow heap.
+/// (O(events) — a per-slot sort restores the global `(cycle, id, kind,
+/// token)` order a binary heap would produce; a slot with one event needs
+/// none). Events farther out than the wheel go to a small overflow heap.
 ///
 /// Slots are intrusive linked lists over one shared node arena rather than
 /// 1024 separate `Vec`s: per-slot vectors each ratchet up to their own
@@ -181,10 +189,10 @@ const OCCUPANCY_WORDS: usize = WHEEL_SLOTS / 64;
 ///
 /// Each event carries the dispatch `token` of the instruction it belongs
 /// to. A wrong-path squash cannot reach into the wheel to cancel events; it
-/// instead truncates the in-flight table, and the drain consumer compares
-/// the token against the table — a mismatch means the event's instruction
-/// was squashed (and its id possibly reissued to a correct-path successor),
-/// so the event is dead. Without speculation every token matches and the
+/// instead truncates the instruction window, and the drain consumer
+/// compares the token against the window — a mismatch means the event's
+/// instruction was squashed (and its id possibly reissued to a correct-path
+/// successor), so the event is dead. Without speculation every token matches and the
 /// behaviour is exactly the pre-token queue's.
 ///
 /// A one-bit-per-slot occupancy bitmap makes [`next_at`](Self::next_at) a
@@ -288,7 +296,9 @@ impl EventQueue {
                 self.overflow.pop();
                 out.push((InstId(id), token, kind));
             }
-            out[start..].sort_unstable_by_key(|&(id, token, kind)| (id.0, kind, token));
+            if out.len() - start > 1 {
+                out[start..].sort_unstable_by_key(|&(id, token, kind)| drain_key(id, kind, token));
+            }
             self.floor += 1;
         }
         self.len -= out.len();
@@ -353,6 +363,48 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].0, InstId(2));
         assert!(q.is_empty());
+    }
+
+    /// Same-cycle events drain in `(id, kind, token)` order whatever the
+    /// order they were scheduled in, wheel and overflow alike: by id first,
+    /// then `SpecMiss` before `Complete` for one id, then by token for
+    /// equal `(id, kind)` pairs.
+    #[test]
+    fn same_cycle_events_drain_in_id_kind_token_order() {
+        use EventKind::{BranchResolve, Complete, LoadAddrDone, SpecMiss, SpecWakeup};
+        let expected = vec![
+            (InstId(3), 0, SpecMiss),
+            (InstId(3), 7, Complete),
+            (InstId(3), 9, Complete),
+            (InstId(4), 2, BranchResolve),
+            (InstId(5), 1, LoadAddrDone),
+            (InstId(5), 1, SpecWakeup),
+            (InstId(1 << 40), 0, Complete),
+            (InstId(1 << 40), u64::MAX, Complete),
+        ];
+        for at in [10, 4_000] {
+            let mut q = EventQueue::default();
+            for &(id, token, kind) in expected.iter().rev() {
+                q.schedule(at, id, token, kind);
+            }
+            // The next cycle, scheduled out of order.
+            q.schedule(at + 1, InstId(9), 5, Complete);
+            q.schedule(at + 1, InstId(2), 5, Complete);
+            q.schedule(at + 1, InstId(2), 4, Complete);
+            let mut due = Vec::new();
+            q.drain_due(at, &mut due);
+            assert_eq!(due, expected, "due at {at}");
+            q.drain_due(at + 1, &mut due);
+            assert_eq!(
+                due,
+                vec![
+                    (InstId(2), 4, Complete),
+                    (InstId(2), 5, Complete),
+                    (InstId(9), 5, Complete),
+                ]
+            );
+            assert!(q.is_empty());
+        }
     }
 
     #[test]

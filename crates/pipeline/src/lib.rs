@@ -9,6 +9,14 @@
 //! baseline or any of the paper's schemes — runs on an otherwise identical
 //! substrate.
 //!
+//! Every instruction from fetch to commit lives in one instruction window,
+//! a ring indexed by instruction id: its dispatched prefix is the reorder
+//! buffer and the rest is the fetch queue. Fetch writes an instruction's
+//! slot once, dispatch fills in the renamed registers in place, commit pops
+//! the front, and a wrong-path squash truncates the back. The load/store
+//! queue is addressed by the sequence number [`Lsq::push`] returns, which
+//! the slot keeps, so no per-instruction update searches.
+//!
 //! Stages execute in reverse pipeline order each cycle (commit, writeback,
 //! memory, issue, dispatch/rename, fetch) so that a value produced with
 //! latency *L* by an instruction issued at cycle *T* can feed a dependent
@@ -25,8 +33,8 @@
 //!   the predicted path into the PC-addressable synthetic program
 //!   ([`diq_workload::TraceGenerator`]), wrong-path instructions rename,
 //!   dispatch, issue and pay energy like any others, and resolution
-//!   checkpoint-restores the front end (generator, GHR/RAS) while the ROB,
-//!   rename map, LSQ and scheduler squash every younger entry. See
+//!   checkpoint-restores the front end (generator, GHR/RAS) while the
+//!   window, rename map, LSQ and scheduler squash every younger entry. See
 //!   DESIGN.md "Wrong-path speculation".
 //!
 //! Orthogonally, [`ProcessorConfig::load_hit_speculation`] closes the
@@ -75,62 +83,40 @@ use profile::StageTimer;
 
 use diq_branch::{BranchCheckpoint, BranchUnit, Prediction};
 use diq_core::{DispatchInst, FuTopology, Scheduler, SchedulerConfig};
-use diq_isa::{
-    ArchReg, BranchInfo, Cycle, Inst, InstId, MemAccess, OpClass, PhysReg, ProcessorConfig,
-};
+use diq_isa::{Cycle, Inst, InstId, OpClass, PhysReg, ProcessorConfig};
 use diq_mem::MemoryHierarchy;
 use exec::{CycleSink, EventKind, EventQueue, FuState, Issued};
 use std::collections::VecDeque;
 
-/// An instruction sitting in the fetch queue.
+/// One instruction in the [`Window`], fetch through commit. Fetch writes
+/// the slot once; dispatch fills the rename fields in place.
 #[derive(Clone, Copy, Debug)]
-struct Fetched {
-    id: InstId,
+struct Slot {
     inst: Inst,
     pred: Option<Prediction>,
     mispredicted: bool,
     /// Fetched past an unresolved mispredicted branch (speculation mode).
     wrong_path: bool,
-}
-
-/// Reorder-buffer entry.
-#[derive(Clone, Copy, Debug)]
-struct RobEntry {
-    id: InstId,
-    completed: bool,
-    prev_mapping: Option<PhysReg>,
-    is_mem: bool,
-    is_store: bool,
-    mem_addr: u64,
-    is_fp: bool,
-}
-
-/// Per-instruction execution context, dispatch through commit.
-#[derive(Clone, Copy, Debug)]
-struct Inflight {
-    op: OpClass,
     dst: Option<PhysReg>,
-    /// Architectural destination (wrong-path recovery unwinds the rename
-    /// map through it).
-    dst_arch: Option<ArchReg>,
     srcs: [Option<PhysReg>; 2],
-    mem: Option<MemAccess>,
-    branch: Option<(BranchInfo, Prediction, bool)>,
     /// Store data register: not an issue condition (stores issue once the
     /// address operand is ready, as in SimpleScalar), but the store cannot
     /// complete until the data exists.
     store_data: Option<PhysReg>,
-    pc: u64,
-    /// Dispatched past an unresolved mispredicted branch.
-    wrong_path: bool,
-    /// Already left the issue queue.
-    issued: bool,
+    /// The destination's previous mapping: freed at commit, restored by a
+    /// wrong-path squash.
+    prev_mapping: Option<PhysReg>,
     /// Globally unique dispatch sequence number. Completion events carry
     /// it; after a squash reuses instruction ids for the correct path, a
     /// stale event's token no longer matches and the event is dead. A
     /// load-hit-speculation replay *bumps* the token, so the cancelled
     /// speculative pass's completion events die the same way.
     token: u64,
+    /// The memory operation's [`Lsq`] sequence number.
+    lsq: u64,
+    completed: bool,
+    /// Already left the issue queue.
+    issued: bool,
     /// Issued on a speculatively woken operand; still occupying its
     /// issue-queue slot until the miss cancel (or a squash) resolves it.
     spec_held: bool,
@@ -139,6 +125,28 @@ struct Inflight {
     /// Cycle of the most recent speculative issue (replay-latency
     /// accounting).
     spec_issued_at: Cycle,
+}
+
+impl Slot {
+    fn fetched(inst: Inst, wrong_path: bool) -> Self {
+        Slot {
+            inst,
+            pred: None,
+            mispredicted: false,
+            wrong_path,
+            dst: None,
+            srcs: [None; 2],
+            store_data: None,
+            prev_mapping: None,
+            token: 0,
+            lsq: 0,
+            completed: false,
+            issued: false,
+            spec_held: false,
+            replay_pending: false,
+            spec_issued_at: 0,
+        }
+    }
 }
 
 /// One load in its speculative-wakeup window: the tag was broadcast at the
@@ -156,51 +164,89 @@ struct SpecLoad {
 /// (always indicates a scheme/pipeline bug; surfaced loudly for tests).
 const DEADLOCK_LIMIT: u64 = 100_000;
 
-/// The in-flight instruction table, dispatch through commit.
+/// The instruction window: every instruction from fetch to commit, in one
+/// ring indexed by `id - base`. `slots[..dispatched]` is the reorder
+/// buffer, `slots[dispatched..]` the fetch queue.
 ///
-/// Instruction ids are dense and monotonic, entries are inserted in id
-/// order at dispatch and removed in id order at commit — so the table is a
-/// ring indexed by `id - base`, replacing the former hash map on the
-/// hottest lookup path in the simulator.
-#[derive(Debug, Default)]
-struct InflightTable {
+/// Instruction ids are dense from fetch to commit — fetch numbers the
+/// slots it appends, commit pops the front, and a wrong-path squash
+/// truncates the back — so `base + slots.len()` is always the next id to
+/// fetch, and a recovery rewinds it just by truncating.
+#[derive(Debug)]
+struct Window {
     base: u64,
-    ring: VecDeque<Inflight>,
+    slots: VecDeque<Slot>,
+    dispatched: usize,
 }
 
-impl InflightTable {
-    fn get(&self, id: InstId) -> &Inflight {
-        &self.ring[(id.0 - self.base) as usize]
-    }
-
-    fn get_mut(&mut self, id: InstId) -> &mut Inflight {
-        &mut self.ring[(id.0 - self.base) as usize]
-    }
-
-    fn contains(&self, id: InstId) -> bool {
-        id.0 >= self.base && id.0 < self.base + self.ring.len() as u64
-    }
-
-    fn insert(&mut self, id: InstId, info: Inflight) {
-        if self.ring.is_empty() {
-            self.base = id.0;
+impl Window {
+    fn with_capacity(capacity: usize) -> Self {
+        Window {
+            base: 0,
+            slots: VecDeque::with_capacity(capacity),
+            dispatched: 0,
         }
-        debug_assert_eq!(id.0, self.base + self.ring.len() as u64, "dispatch order");
-        self.ring.push_back(info);
     }
 
-    fn remove_oldest(&mut self, id: InstId) {
-        debug_assert_eq!(id.0, self.base, "commit order");
-        self.ring.pop_front();
+    fn fetch_queue_len(&self) -> usize {
+        self.slots.len() - self.dispatched
+    }
+
+    fn next_id(&self) -> InstId {
+        InstId(self.base + self.slots.len() as u64)
+    }
+
+    /// The slot of a dispatched, not yet committed instruction. An id that
+    /// was fetched but not dispatched is not in flight: an event naming it
+    /// belongs to a squashed predecessor and is dead.
+    fn get(&self, id: InstId) -> Option<&Slot> {
+        let i = id.0.wrapping_sub(self.base);
+        (i < self.dispatched as u64).then(|| &self.slots[i as usize])
+    }
+
+    fn get_mut(&mut self, id: InstId) -> Option<&mut Slot> {
+        let i = id.0.wrapping_sub(self.base);
+        (i < self.dispatched as u64).then(|| &mut self.slots[i as usize])
+    }
+
+    /// The oldest dispatched instruction.
+    fn head(&self) -> Option<&Slot> {
+        self.slots.front().filter(|_| self.dispatched > 0)
+    }
+
+    fn commit_head(&mut self) {
+        self.slots.pop_front();
         self.base += 1;
+        self.dispatched -= 1;
     }
 
-    /// Drops every entry with `id >= from` (wrong-path squash). Ids stay
-    /// dense: recovery rewinds the simulator's id counter to `from`, so the
-    /// correct path reuses the squashed range.
-    fn truncate_from(&mut self, from: InstId) {
-        let keep = from.0.saturating_sub(self.base) as usize;
-        self.ring.truncate(keep);
+    /// The oldest fetched instruction not yet dispatched.
+    fn next_to_dispatch(&self) -> Option<&Slot> {
+        self.slots.get(self.dispatched)
+    }
+
+    /// Moves the fetch queue's head into the ROB.
+    fn dispatch_next(&mut self) -> &mut Slot {
+        self.dispatched += 1;
+        &mut self.slots[self.dispatched - 1]
+    }
+
+    /// Wrong-path squash: drops the whole fetch queue, then every
+    /// dispatched slot with `id >= from`, youngest first, handing each to
+    /// `unwind`. Returns the (fetch-queue, ROB) counts dropped.
+    fn squash_from(&mut self, from: InstId, unwind: impl FnMut(&Slot)) -> (u64, u64) {
+        let keep = (from.0 - self.base) as usize;
+        let dropped = (
+            self.fetch_queue_len() as u64,
+            (self.dispatched - keep) as u64,
+        );
+        self.slots
+            .range(keep..self.dispatched)
+            .rev()
+            .for_each(unwind);
+        self.slots.truncate(keep);
+        self.dispatched = keep;
+        dropped
     }
 }
 
@@ -225,14 +271,11 @@ pub struct Simulator {
     lsq: Lsq,
     fu: FuState,
     events: EventQueue,
-    rob: VecDeque<RobEntry>,
-    fetch_queue: VecDeque<Fetched>,
-    inflight: InflightTable,
+    window: Window,
     /// Stores whose address generation finished but whose data register is
     /// still pending.
     stores_waiting_data: Vec<(InstId, PhysReg)>,
     now: Cycle,
-    next_id: u64,
     fetch_stalled_until: Cycle,
     waiting_mispredict: bool,
     last_fetch_line: u64,
@@ -247,7 +290,7 @@ pub struct Simulator {
     /// checkpoints into it instead of allocating (mispredicts recur every
     /// few dozen instructions on branchy codes).
     spare_recovery: Option<Recovery>,
-    /// Monotone dispatch counter feeding [`Inflight::token`]; never reset.
+    /// Monotone dispatch counter feeding [`Slot::token`]; never reset.
     /// Replays draw fresh tokens from the same counter.
     dispatch_seq: u64,
     /// Loads currently in their speculative-wakeup window (tag broadcast,
@@ -327,12 +370,9 @@ impl Simulator {
             lsq: Lsq::with_capacity(cfg.rob_entries),
             fu,
             events: EventQueue::with_capacity(2 * cfg.rob_entries),
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            fetch_queue: VecDeque::with_capacity(cfg.fetch_queue),
-            inflight: InflightTable::default(),
+            window: Window::with_capacity(cfg.rob_entries + cfg.fetch_queue),
             stores_waiting_data: Vec::with_capacity(cfg.rob_entries),
             now: 0,
-            next_id: 0,
             fetch_stalled_until: 0,
             waiting_mispredict: false,
             last_fetch_line: u64::MAX,
@@ -403,11 +443,7 @@ impl Simulator {
         let mut trace_done = false;
         while self.stats.committed < commit_target {
             let progress = self.cycle(workload, &mut trace_done);
-            if trace_done
-                && self.rob.is_empty()
-                && self.fetch_queue.is_empty()
-                && self.pending_fetch.is_none()
-            {
+            if trace_done && self.window.slots.is_empty() && self.pending_fetch.is_none() {
                 break;
             }
             if !progress {
@@ -419,7 +455,7 @@ impl Simulator {
                 self.last_commit_at,
                 self.now,
                 self.sched.name(),
-                self.rob.len(),
+                self.window.dispatched,
                 self.sched.occupancy(),
                 self.events.next_at(),
             );
@@ -484,12 +520,6 @@ impl Simulator {
         let (resizes, gated) = self.sched.adaptive_stats();
         self.stats.resize_events = resizes;
         self.stats.gated_bank_cycles = gated;
-    }
-
-    fn rob_entry_mut(&mut self, id: InstId) -> &mut RobEntry {
-        let base = self.rob.front().expect("rob non-empty").id.0;
-        let idx = (id.0 - base) as usize;
-        &mut self.rob[idx]
     }
 
     /// Runs one cycle and reports whether any stage changed state. Each
@@ -570,24 +600,26 @@ impl Simulator {
     fn commit_stage(&mut self) -> bool {
         let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.front() else { break };
+            let Some(head) = self.window.head() else {
+                break;
+            };
             if !head.completed {
                 break;
             }
-            let head = *head;
-            self.rob.pop_front();
-            if head.is_mem {
-                if head.is_store {
-                    self.mem.store(head.mem_addr);
+            let op = head.inst.op;
+            if op.is_mem() {
+                if op == OpClass::Store {
+                    self.mem
+                        .store(head.inst.mem.expect("store has address").addr);
                 }
-                self.lsq.pop(head.id);
+                self.lsq.pop(InstId(self.window.base));
             }
             if let Some(prev) = head.prev_mapping {
                 self.rename.release(prev);
             }
-            self.inflight.remove_oldest(head.id);
+            self.window.commit_head();
             self.stats.committed += 1;
-            if head.is_fp {
+            if op.is_fp_side() {
                 self.stats.committed_fp += 1;
             }
             self.last_commit_at = self.now;
@@ -610,76 +642,75 @@ impl Simulator {
             // was squashed (and its id possibly reissued on the correct
             // path): the event is dead. Without speculation every token
             // matches.
-            if !self.inflight.contains(id) || self.inflight.get(id).token != token {
+            let Some(slot) = self.window.get_mut(id).filter(|s| s.token == token) else {
                 continue;
-            }
+            };
             match kind {
                 EventKind::Complete => {
-                    let info = *self.inflight.get(id);
-                    if let Some(dst) = info.dst {
+                    if let Some(dst) = slot.dst {
                         self.rename.set_ready(dst, self.now);
                         self.sched.on_result(dst, self.now);
                     }
-                    if info.op == OpClass::Store {
+                    if slot.inst.op == OpClass::Store {
                         // Address generation done; completion additionally
                         // needs the data value — the *real* value: a
                         // speculatively woken register holds nothing to
                         // write into the store buffer.
-                        self.lsq.store_addr_done(id);
-                        let data = info.store_data.expect("store has data source");
+                        self.lsq.store_addr_done(slot.lsq);
+                        let data = slot.store_data.expect("store has data source");
                         if self.rename.is_ready_real(data, self.now) {
-                            self.lsq.store_data_ready(id);
-                            self.rob_entry_mut(id).completed = true;
+                            self.lsq.store_data_ready(slot.lsq);
+                            slot.completed = true;
                         } else {
                             self.stores_waiting_data.push((id, data));
                         }
                     } else {
-                        self.rob_entry_mut(id).completed = true;
+                        slot.completed = true;
                     }
                 }
                 EventKind::BranchResolve => {
-                    let info = *self.inflight.get(id);
-                    let (actual, pred, mispredicted) = info.branch.expect("branch info present");
-                    if info.wrong_path {
-                        // A wrong-path branch has no architectural outcome:
-                        // it neither trains the predictor nor redirects
-                        // fetch; it completes and waits to be squashed.
-                        self.rob_entry_mut(id).completed = true;
-                    } else {
-                        if mispredicted {
-                            if let Some(rec) = self.recovery.take() {
-                                debug_assert_eq!(rec.branch, id, "one outstanding recovery");
-                                // Restore the front end to the state right
-                                // after this branch's prediction, then
-                                // squash everything younger.
-                                self.bp.restore(&rec.bp);
-                                src.restore(&rec.gen);
-                                self.recover(id);
-                                // Keep the buffers for the next mispredict.
-                                self.spare_recovery = Some(rec);
-                            }
+                    // A wrong-path branch has no architectural outcome: it
+                    // neither trains the predictor nor redirects fetch; it
+                    // completes and waits to be squashed.
+                    slot.completed = true;
+                    if slot.wrong_path {
+                        continue;
+                    }
+                    let pc = slot.inst.pc;
+                    let actual = slot.inst.branch.expect("branch info present");
+                    let pred = slot.pred.expect("branch predicted");
+                    let mispredicted = slot.mispredicted;
+                    if mispredicted {
+                        if let Some(rec) = self.recovery.take() {
+                            debug_assert_eq!(rec.branch, id, "one outstanding recovery");
+                            // Restore the front end to the state right after
+                            // this branch's prediction, then squash
+                            // everything younger.
+                            self.bp.restore(&rec.bp);
+                            src.restore(&rec.gen);
+                            self.recover(id);
+                            // Keep the buffers for the next mispredict.
+                            self.spare_recovery = Some(rec);
                         }
-                        self.bp.resolve(info.pc, &pred, &actual);
-                        if mispredicted {
-                            self.sched.on_mispredict();
-                            self.stats.mispredict_redirects += 1;
-                            self.fetch_stalled_until = self
-                                .fetch_stalled_until
-                                .max(self.now + 1 + self.cfg.mispredict_redirect);
-                            self.waiting_mispredict = false;
-                        }
-                        self.rob_entry_mut(id).completed = true;
+                    }
+                    self.bp.resolve(pc, &pred, &actual);
+                    if mispredicted {
+                        self.sched.on_mispredict();
+                        self.stats.mispredict_redirects += 1;
+                        self.fetch_stalled_until = self
+                            .fetch_stalled_until
+                            .max(self.now + 1 + self.cfg.mispredict_redirect);
+                        self.waiting_mispredict = false;
                     }
                 }
                 EventKind::LoadAddrDone => {
-                    self.lsq.load_addr_done(id);
+                    self.lsq.load_addr_done(slot.lsq);
                 }
                 EventKind::SpecWakeup => {
                     // The predicted-hit broadcast: dependents wake (and may
                     // issue this cycle) exactly as they would on a hit. The
                     // load itself is *not* complete.
-                    let info = *self.inflight.get(id);
-                    let dst = info.dst.expect("speculating load has a destination");
+                    let dst = slot.dst.expect("speculating load has a destination");
                     self.rename.set_ready_spec(dst, self.now);
                     self.sched.on_result(dst, self.now);
                     let consumers = self.spec_consumer_pool.pop().unwrap_or_default();
@@ -706,16 +737,13 @@ impl Simulator {
                     self.sched.cancel(rec.dst);
                     let mut depth = 0u64;
                     for &(cid, ctok) in &rec.consumers {
-                        if !self.inflight.contains(cid) {
-                            continue; // squashed since it issued
-                        }
-                        let fresh = self.dispatch_seq;
-                        let e = self.inflight.get_mut(cid);
-                        if e.token != ctok {
-                            continue; // squashed-and-reused, or already replayed
-                        }
+                        // Squashed since it issued, squashed-and-reused, or
+                        // already replayed.
+                        let Some(e) = self.window.get_mut(cid).filter(|e| e.token == ctok) else {
+                            continue;
+                        };
+                        e.token = self.dispatch_seq;
                         self.dispatch_seq += 1;
-                        e.token = fresh;
                         e.issued = false;
                         e.spec_held = false;
                         e.replay_pending = true;
@@ -743,8 +771,9 @@ impl Simulator {
                 }
             });
             for &id in &done {
-                self.lsq.store_data_ready(id);
-                self.rob_entry_mut(id).completed = true;
+                let slot = self.window.get_mut(id).expect("waiting store in flight");
+                self.lsq.store_data_ready(slot.lsq);
+                slot.completed = true;
             }
             progress |= !done.is_empty();
             self.stores_done_scratch = done;
@@ -763,9 +792,11 @@ impl Simulator {
     fn recover(&mut self, branch: InstId) {
         let from = InstId(branch.0 + 1);
         // Everything still in the fetch queue was fetched past the branch.
-        debug_assert!(self.fetch_queue.iter().all(|f| f.wrong_path));
-        let flushed = self.fetch_queue.len() as u64;
-        self.fetch_queue.clear();
+        debug_assert!(self
+            .window
+            .slots
+            .range(self.window.dispatched..)
+            .all(|f| f.wrong_path));
         // The batch buffer holds only wrong-path pulls (fills stop after
         // every branch, so nothing was buffered past the mispredicted one
         // when fetch turned down the wrong path) — none were counted
@@ -776,24 +807,21 @@ impl Simulator {
         // stall it imposed (the caller applies the redirect penalty).
         self.pending_fetch = None;
         self.fetch_stalled_until = self.fetch_stalled_until.min(self.now);
-        let mut rob_squashed = 0u64;
-        while self.rob.back().is_some_and(|e| e.id >= from) {
-            let e = self.rob.pop_back().expect("checked");
-            let info = *self.inflight.get(e.id);
-            debug_assert!(info.wrong_path, "only wrong-path entries squash");
-            if let Some(arch) = info.dst_arch {
-                let new = info.dst.expect("renamed destination");
+        let rename = &mut self.rename;
+        let (flushed, rob_squashed) = self.window.squash_from(from, |e| {
+            debug_assert!(e.wrong_path, "only wrong-path entries squash");
+            if let Some(arch) = e.inst.dst {
+                let new = e.dst.expect("renamed destination");
                 let prev = e.prev_mapping.expect("previous mapping recorded");
-                self.rename.unallocate(arch, new, prev);
+                rename.unallocate(arch, new, prev);
             }
-            rob_squashed += 1;
-        }
-        self.inflight.truncate_from(from);
+        });
+        debug_assert_eq!(self.window.next_id(), from, "ids rewind to the branch");
         self.lsq.squash(from);
         self.stores_waiting_data.retain(|&(id, _)| id < from);
         self.sched.squash(from);
         // Squashed loads' speculative windows die with them: their SpecMiss
-        // events are dead (the instruction left the in-flight table), so
+        // events are dead (the instruction left the window), so
         // revert the register state here. Surviving loads keep their
         // records; their squashed consumers are filtered at the cancel by
         // the same contains/token test every stale event faces.
@@ -811,7 +839,6 @@ impl Simulator {
                 }
             });
         }
-        self.next_id = from.0;
         self.wrong_path_mode = false;
         self.waiting_mispredict = false;
         self.stats.wrong_path_squashed += flushed + rob_squashed;
@@ -823,12 +850,10 @@ impl Simulator {
         {
             let (oi, of) = self.sched.occupancy();
             let unissued = self
-                .rob
-                .iter()
-                .filter(|e| {
-                    let i = self.inflight.get(e.id);
-                    !i.issued || i.spec_held
-                })
+                .window
+                .slots
+                .range(..self.window.dispatched)
+                .filter(|e| !e.issued || e.spec_held)
                 .count();
             debug_assert_eq!(
                 oi + of,
@@ -851,19 +876,19 @@ impl Simulator {
             match action {
                 LoadAction::Wait => {}
                 LoadAction::Forward => {
-                    let token = self.inflight.get(id).token;
-                    self.lsq.load_started(id, true);
+                    let load = self.window.get(id).expect("pending load in flight");
+                    self.lsq.load_started(load.lsq, true);
                     self.events
-                        .schedule(self.now + 1, id, token, EventKind::Complete);
+                        .schedule(self.now + 1, id, load.token, EventKind::Complete);
                 }
                 LoadAction::Access => {
                     if self.mem.try_reserve_dl1_port(self.now) {
-                        let info = self.inflight.get(id);
-                        let addr = info.mem.expect("load has address").addr;
-                        let token = info.token;
-                        let has_dst = info.dst.is_some();
+                        let load = self.window.get(id).expect("pending load in flight");
+                        let addr = load.inst.mem.expect("load has address").addr;
+                        let token = load.token;
+                        let has_dst = load.dst.is_some();
                         let lat = self.mem.load_latency(addr);
-                        self.lsq.load_started(id, false);
+                        self.lsq.load_started(load.lsq, false);
                         let hit = self.cfg.mem.dl1.latency;
                         if self.cfg.load_hit_speculation && lat > hit && has_dst {
                             // The scheduler believed this load would hit:
@@ -909,11 +934,8 @@ impl Simulator {
             self.sched.issue_cycle(self.now, &mut sink);
         }
         for &issued in &accepted {
-            let info = {
-                let entry = self.inflight.get_mut(issued.id);
-                entry.issued = true;
-                *entry
-            };
+            let slot = self.window.get_mut(issued.id).expect("issued in flight");
+            slot.issued = true;
             // Dataflow checker: every source value must be available now.
             // A *speculatively* ready source is part of the load-hit
             // protocol, not a violation — the issue is recorded as a
@@ -923,7 +945,7 @@ impl Simulator {
             // ever judged against the correct path, which is all that
             // survives to commit.
             let mut consumed_spec = false;
-            for src in info.srcs.into_iter().flatten() {
+            for src in slot.srcs.into_iter().flatten() {
                 if self.rename.is_ready_real(src, self.now) {
                     continue;
                 }
@@ -934,24 +956,23 @@ impl Simulator {
                         .iter_mut()
                         .find(|r| r.dst == src)
                         .expect("spec-ready register has a live record");
-                    rec.consumers.push((issued.id, info.token));
+                    rec.consumers.push((issued.id, slot.token));
                 } else {
                     self.stats.checker_violations += 1;
                 }
             }
-            if info.replay_pending {
+            if slot.replay_pending {
                 // The confirmed re-issue of a replayed instruction: charge
                 // the cycles between the cancelled pass and this one.
-                self.stats.replay_cycles_lost += self.now - info.spec_issued_at;
-                self.inflight.get_mut(issued.id).replay_pending = false;
+                self.stats.replay_cycles_lost += self.now - slot.spec_issued_at;
+                slot.replay_pending = false;
             }
             if consumed_spec {
-                let e = self.inflight.get_mut(issued.id);
-                e.spec_held = true;
-                e.spec_issued_at = self.now;
+                slot.spec_held = true;
+                slot.spec_issued_at = self.now;
             }
             self.stats.issued += 1;
-            if info.wrong_path {
+            if slot.wrong_path {
                 self.stats.wrong_path_issued += 1;
             }
             let lat = self.cfg.lat.for_op(issued.op);
@@ -960,7 +981,7 @@ impl Simulator {
                     self.events.schedule(
                         self.now + lat,
                         issued.id,
-                        info.token,
+                        slot.token,
                         EventKind::BranchResolve,
                     );
                 }
@@ -968,7 +989,7 @@ impl Simulator {
                     self.events.schedule(
                         self.now + lat,
                         issued.id,
-                        info.token,
+                        slot.token,
                         EventKind::LoadAddrDone,
                     );
                 }
@@ -979,7 +1000,7 @@ impl Simulator {
                     self.events.schedule(
                         self.now + lat,
                         issued.id,
-                        info.token,
+                        slot.token,
                         EventKind::Complete,
                     );
                 }
@@ -996,14 +1017,14 @@ impl Simulator {
         let mut stall = None;
         let mut dispatched = false;
         for _ in 0..self.cfg.decode_width {
-            let Some(fetched) = self.fetch_queue.front().copied() else {
+            let Some(fetched) = self.window.next_to_dispatch() else {
                 break;
             };
-            if self.rob.len() >= self.cfg.rob_entries {
+            if self.window.dispatched >= self.cfg.rob_entries {
                 stall = Some((0, None)); // rob_full
                 break;
             }
-            let inst = fetched.inst;
+            let inst = &fetched.inst;
             if let Some(dst) = inst.dst {
                 if self.rename.peek_allocate(dst.class()).is_none() {
                     stall = Some((1, None)); // no_phys_reg
@@ -1037,8 +1058,9 @@ impl Simulator {
             let dst_peek = inst
                 .dst
                 .map(|d| self.rename.peek_allocate(d.class()).expect("checked"));
+            let id = InstId(self.window.base + self.window.dispatched as u64);
             let di = DispatchInst {
-                id: fetched.id,
+                id,
                 op: inst.op,
                 dst: dst_peek,
                 srcs,
@@ -1058,58 +1080,28 @@ impl Simulator {
             }
             // Commit the dispatch.
             dispatched = true;
-            self.fetch_queue.pop_front();
             let prev_mapping = inst.dst.map(|d| {
                 let (new, prev) = self.rename.allocate(d);
                 debug_assert_eq!(Some(new), dst_peek);
                 prev
             });
-            self.rob.push_back(RobEntry {
-                id: fetched.id,
-                completed: false,
-                prev_mapping,
-                is_mem: inst.op.is_mem(),
-                is_store: inst.op == OpClass::Store,
-                mem_addr: inst.mem.map_or(0, |m| m.addr),
-                is_fp: inst.op.is_fp_side(),
-            });
-            if inst.op.is_mem() {
-                self.lsq.push(
-                    fetched.id,
-                    inst.op == OpClass::Store,
-                    inst.mem.unwrap().addr,
-                );
-            }
+            let lsq = if inst.op.is_mem() {
+                let addr = inst.mem.expect("memory op has address").addr;
+                self.lsq.push(id, is_store, addr)
+            } else {
+                0
+            };
             if fetched.wrong_path {
                 self.stats.wrong_path_dispatched += 1;
             }
-            let token = self.dispatch_seq;
+            let slot = self.window.dispatch_next();
+            slot.dst = dst_peek;
+            slot.srcs = srcs;
+            slot.store_data = if is_store { renamed[1] } else { None };
+            slot.prev_mapping = prev_mapping;
+            slot.token = self.dispatch_seq;
+            slot.lsq = lsq;
             self.dispatch_seq += 1;
-            self.inflight.insert(
-                fetched.id,
-                Inflight {
-                    op: inst.op,
-                    dst: dst_peek,
-                    dst_arch: inst.dst,
-                    srcs,
-                    mem: inst.mem,
-                    branch: inst.branch.map(|b| {
-                        (
-                            b,
-                            fetched.pred.expect("branch predicted"),
-                            fetched.mispredicted,
-                        )
-                    }),
-                    store_data: if is_store { renamed[1] } else { None },
-                    pc: inst.pc,
-                    wrong_path: fetched.wrong_path,
-                    issued: false,
-                    token,
-                    spec_held: false,
-                    replay_pending: false,
-                    spec_issued_at: 0,
-                },
-            );
         }
         if let Some((index, _)) = stall {
             self.stall_counts[index] += 1;
@@ -1159,7 +1151,7 @@ impl Simulator {
         let speculating = self.cfg.wrong_path && src.speculative();
         let line_shift = self.cfg.mem.il1.line_bytes.trailing_zeros();
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_queue.len() >= self.cfg.fetch_queue {
+            if self.window.fetch_queue_len() >= self.cfg.fetch_queue {
                 break;
             }
             let inst = match self.pending_fetch.take() {
@@ -1193,15 +1185,8 @@ impl Simulator {
                     break;
                 }
             }
-            let id = InstId(self.next_id);
-            self.next_id += 1;
-            let mut fetched = Fetched {
-                id,
-                inst,
-                pred: None,
-                mispredicted: false,
-                wrong_path: self.wrong_path_mode,
-            };
+            let id = self.window.next_id();
+            let mut fetched = Slot::fetched(inst, self.wrong_path_mode);
             let mut taken = false;
             if let Some(actual) = inst.branch {
                 taken = actual.taken;
@@ -1224,7 +1209,7 @@ impl Simulator {
             if fetched.wrong_path {
                 self.stats.wrong_path_fetched += 1;
             }
-            self.fetch_queue.push_back(fetched);
+            self.window.slots.push_back(fetched);
             if mispredicted {
                 if speculating {
                     let pred = pred.expect("branch predicted");

@@ -6,6 +6,11 @@
 //! older store's address is known — the conservative policy the paper's
 //! `AllStoreAddr` estimation mirrors. A load whose address matches an older
 //! store forwards the store's data instead of accessing the cache.
+//!
+//! [`Lsq::push`] hands back the entry's sequence number, and the per-entry
+//! updates take it: entries are allocated and retired in program order, so
+//! an entry sits at `seq - base` in the queue and its store-mirror copy at
+//! `store - store_base`, and no update searches.
 
 use diq_isa::InstId;
 use std::collections::VecDeque;
@@ -36,6 +41,8 @@ struct LsqEntry {
     addr_known: bool,
     /// Store data value available (younger loads may forward).
     data_ready: bool,
+    /// (Stores) sequence number in the store mirror.
+    store: u64,
 }
 
 /// A store's disambiguation-relevant state, mirrored from its entry so the
@@ -52,8 +59,12 @@ struct StoreInfo {
 #[derive(Clone, Debug, Default)]
 pub struct Lsq {
     entries: VecDeque<LsqEntry>,
+    /// Sequence number of `entries[0]`.
+    base: u64,
     /// Stores still in the queue, program order (mirror of `entries`).
     stores: VecDeque<StoreInfo>,
+    /// Store-mirror sequence number of `stores[0]`.
+    store_base: u64,
     /// Loads in the memory phase `(id, dword)`, program order.
     pending: Vec<(InstId, u64)>,
     /// Per-cycle scratch: `dword -> all matching older stores data-ready`.
@@ -104,8 +115,11 @@ impl Lsq {
         }
     }
 
-    /// Allocates an entry at dispatch (program order).
-    pub fn push(&mut self, id: InstId, is_store: bool, addr: u64) {
+    /// Allocates an entry at dispatch (program order) and returns its
+    /// sequence number, the handle the per-entry updates take.
+    pub fn push(&mut self, id: InstId, is_store: bool, addr: u64) -> u64 {
+        let seq = self.base + self.entries.len() as u64;
+        let store = self.store_base + self.stores.len() as u64;
         self.entries.push_back(LsqEntry {
             id,
             is_store,
@@ -113,6 +127,7 @@ impl Lsq {
             state: MemState::WaitAddr,
             addr_known: false,
             data_ready: false,
+            store,
         });
         self.actions_dirty = true;
         if is_store {
@@ -123,55 +138,51 @@ impl Lsq {
                 data_ready: false,
             });
         }
+        seq
     }
 
-    /// Entries are in program order, so ids are sorted: binary search.
-    fn entry_mut(&mut self, id: InstId) -> &mut LsqEntry {
-        let i = self.entries.partition_point(|e| e.id < id);
-        let e = &mut self.entries[i];
-        assert_eq!(e.id, id, "LSQ entry exists");
-        e
+    fn entry_mut(&mut self, seq: u64) -> &mut LsqEntry {
+        &mut self.entries[(seq - self.base) as usize]
     }
 
-    fn store_mut(&mut self, id: InstId) -> &mut StoreInfo {
-        let i = self.stores.partition_point(|s| s.id < id);
-        let s = &mut self.stores[i];
-        debug_assert_eq!(s.id, id);
-        s
+    fn store_mut(&mut self, store: u64) -> &mut StoreInfo {
+        &mut self.stores[(store - self.store_base) as usize]
     }
 
     /// A store finished address generation: younger loads can disambiguate
     /// against it.
-    pub fn store_addr_done(&mut self, id: InstId) {
-        let e = self.entry_mut(id);
+    pub fn store_addr_done(&mut self, seq: u64) {
+        let e = self.entry_mut(seq);
         debug_assert!(e.is_store);
         e.addr_known = true;
         if e.data_ready {
             e.state = MemState::Done;
         }
-        self.store_mut(id).addr_known = true;
+        let store = e.store;
+        self.store_mut(store).addr_known = true;
         self.actions_dirty = true;
     }
 
     /// A store's data value became available: younger matching loads can
     /// forward from it.
-    pub fn store_data_ready(&mut self, id: InstId) {
-        let e = self.entry_mut(id);
+    pub fn store_data_ready(&mut self, seq: u64) {
+        let e = self.entry_mut(seq);
         debug_assert!(e.is_store);
         e.data_ready = true;
         if e.addr_known {
             e.state = MemState::Done;
         }
-        self.store_mut(id).data_ready = true;
+        let store = e.store;
+        self.store_mut(store).data_ready = true;
         self.actions_dirty = true;
     }
 
     /// A load finished address generation: it enters the memory phase.
-    pub fn load_addr_done(&mut self, id: InstId) {
-        let e = self.entry_mut(id);
+    pub fn load_addr_done(&mut self, seq: u64) {
+        let e = self.entry_mut(seq);
         debug_assert!(!e.is_store);
         e.state = MemState::WaitMem;
-        let dw = dword(e.addr);
+        let (id, dw) = (e.id, dword(e.addr));
         let pos = self.pending.partition_point(|&(pid, _)| pid < id);
         self.pending.insert(pos, (id, dw));
         self.actions_dirty = true;
@@ -180,29 +191,15 @@ impl Lsq {
     /// Loads currently in the memory phase, oldest first.
     #[must_use]
     pub fn pending_loads(&self) -> Vec<InstId> {
-        let mut out = Vec::new();
-        self.pending_loads_into(&mut out);
-        out
-    }
-
-    /// [`pending_loads`](Self::pending_loads) into a reused buffer
-    /// (cleared first). Diagnostic/test view — the simulator's per-cycle
-    /// path is [`pending_load_actions_into`](Self::pending_load_actions_into).
-    pub fn pending_loads_into(&self, out: &mut Vec<InstId>) {
-        out.clear();
-        out.extend(
-            self.entries
-                .iter()
-                .filter(|e| !e.is_store && e.state == MemState::WaitMem)
-                .map(|e| e.id),
-        );
+        self.pending.iter().map(|&(id, _)| id).collect()
     }
 
     /// Decides what load `id` may do this cycle, by scanning every older
     /// queue entry — the straightforward reference form of the
     /// disambiguation rules. The simulator uses the equivalent (and much
     /// cheaper) [`pending_load_actions_into`](Self::pending_load_actions_into);
-    /// a unit test asserts the two agree, so keep them in lockstep.
+    /// a property test (`tests/proptest_structures.rs`) asserts the two
+    /// agree after every step of random queue histories.
     ///
     /// # Panics
     ///
@@ -242,11 +239,13 @@ impl Lsq {
 
     /// Marks a load's access as started (it will complete via the event
     /// queue) and counts forwarding.
-    pub fn load_started(&mut self, id: InstId, forwarded: bool) {
+    pub fn load_started(&mut self, seq: u64, forwarded: bool) {
         if forwarded {
             self.forwards += 1;
         }
-        self.entry_mut(id).state = MemState::Done;
+        let e = self.entry_mut(seq);
+        e.state = MemState::Done;
+        let id = e.id;
         let pos = self.pending.partition_point(|&(pid, _)| pid < id);
         debug_assert_eq!(self.pending.get(pos).map(|&(pid, _)| pid), Some(id));
         self.pending.remove(pos);
@@ -273,9 +272,11 @@ impl Lsq {
     pub fn pop(&mut self, id: InstId) {
         debug_assert_eq!(self.entries.front().map(|e| e.id), Some(id));
         let e = self.entries.pop_front().expect("LSQ entry at commit");
+        self.base += 1;
         if e.is_store {
             debug_assert_eq!(self.stores.front().map(|s| s.id), Some(id));
             self.stores.pop_front();
+            self.store_base += 1;
             self.actions_dirty = true;
         }
     }
@@ -291,6 +292,9 @@ impl Lsq {
     /// changes state, so stalled cycles cost O(actionable loads).
     pub fn pending_load_actions_into(&mut self, out: &mut Vec<(InstId, LoadAction)>) {
         out.clear();
+        if !self.actions_dirty && self.cached_actions.is_empty() {
+            return;
+        }
         if self.actions_dirty {
             self.recompute_actions();
             self.actions_dirty = false;
@@ -362,49 +366,49 @@ mod tests {
     #[test]
     fn load_waits_for_older_store_address() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), false, 0x200);
-        lsq.load_addr_done(InstId(2));
+        let st = lsq.push(InstId(1), true, 0x100);
+        let ld = lsq.push(InstId(2), false, 0x200);
+        lsq.load_addr_done(ld);
         assert_eq!(lsq.load_action(InstId(2)), LoadAction::Wait);
-        lsq.store_addr_done(InstId(1));
+        lsq.store_addr_done(st);
         assert_eq!(lsq.load_action(InstId(2)), LoadAction::Access);
     }
 
     #[test]
     fn matching_store_forwards() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), false, 0x100);
-        lsq.store_addr_done(InstId(1));
-        lsq.load_addr_done(InstId(2));
+        let st = lsq.push(InstId(1), true, 0x100);
+        let ld = lsq.push(InstId(2), false, 0x100);
+        lsq.store_addr_done(st);
+        lsq.load_addr_done(ld);
         // Address known but data still pending: the load must wait…
         assert_eq!(lsq.load_action(InstId(2)), LoadAction::Wait);
-        lsq.store_data_ready(InstId(1));
+        lsq.store_data_ready(st);
         // …then forward once the value exists.
         assert_eq!(lsq.load_action(InstId(2)), LoadAction::Forward);
-        lsq.load_started(InstId(2), true);
+        lsq.load_started(ld, true);
         assert_eq!(lsq.forwards, 1);
     }
 
     #[test]
     fn younger_stores_do_not_affect_loads() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(1), false, 0x100);
+        let ld = lsq.push(InstId(1), false, 0x100);
         lsq.push(InstId(2), true, 0x100); // younger store
-        lsq.load_addr_done(InstId(1));
+        lsq.load_addr_done(ld);
         assert_eq!(lsq.load_action(InstId(1)), LoadAction::Access);
     }
 
     #[test]
     fn word_granularity_matching() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), false, 0x104); // same 8-byte word
-        lsq.push(InstId(3), false, 0x108); // next word
-        lsq.store_addr_done(InstId(1));
-        lsq.store_data_ready(InstId(1));
-        lsq.load_addr_done(InstId(2));
-        lsq.load_addr_done(InstId(3));
+        let st = lsq.push(InstId(1), true, 0x100);
+        let same = lsq.push(InstId(2), false, 0x104); // same 8-byte word
+        let next = lsq.push(InstId(3), false, 0x108); // next word
+        lsq.store_addr_done(st);
+        lsq.store_data_ready(st);
+        lsq.load_addr_done(same);
+        lsq.load_addr_done(next);
         assert_eq!(lsq.load_action(InstId(2)), LoadAction::Forward);
         assert_eq!(lsq.load_action(InstId(3)), LoadAction::Access);
     }
@@ -412,125 +416,27 @@ mod tests {
     #[test]
     fn commit_pops_in_order() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), false, 0x200);
-        lsq.store_addr_done(InstId(1));
-        lsq.store_data_ready(InstId(1));
+        let st = lsq.push(InstId(1), true, 0x100);
+        let ld = lsq.push(InstId(2), false, 0x200);
+        lsq.store_addr_done(st);
+        lsq.store_data_ready(st);
         lsq.pop(InstId(1));
         assert_eq!(lsq.len(), 1);
+        // A handle taken before the pop still names its entry.
+        let st2 = lsq.push(InstId(3), true, 0x200);
+        lsq.load_addr_done(ld);
+        assert_eq!(lsq.load_action(InstId(2)), LoadAction::Access);
+        lsq.store_addr_done(st2);
+        assert_eq!(lsq.load_action(InstId(2)), LoadAction::Access);
     }
 
     #[test]
     fn pending_loads_in_program_order() {
         let mut lsq = Lsq::new();
-        lsq.push(InstId(3), false, 0x1);
-        lsq.push(InstId(5), false, 0x2);
-        lsq.load_addr_done(InstId(5));
-        lsq.load_addr_done(InstId(3));
+        let a = lsq.push(InstId(3), false, 0x1);
+        let b = lsq.push(InstId(5), false, 0x2);
+        lsq.load_addr_done(b);
+        lsq.load_addr_done(a);
         assert_eq!(lsq.pending_loads(), vec![InstId(3), InstId(5)]);
-    }
-
-    /// The per-cycle merge walk must agree with the reference
-    /// `load_action` scan: same actions, `Wait`s omitted, program order.
-    fn assert_actions_match_reference(lsq: &mut Lsq) {
-        let expected: Vec<(InstId, LoadAction)> = lsq
-            .pending_loads()
-            .into_iter()
-            .map(|id| (id, lsq.load_action(id)))
-            .filter(|&(_, a)| a != LoadAction::Wait)
-            .collect();
-        let mut actual = Vec::new();
-        lsq.pending_load_actions_into(&mut actual);
-        assert_eq!(actual, expected);
-    }
-
-    #[test]
-    fn merge_walk_matches_reference_scan_through_a_store_lifecycle() {
-        let mut lsq = Lsq::new();
-        // Stores at two dwords bracketing three loads, plus an aliasing
-        // younger store that must not matter.
-        lsq.push(InstId(1), true, 0x100); // matches load 3
-        lsq.push(InstId(2), true, 0x200); // unknown addr blocks loads 4, 6
-        lsq.push(InstId(3), false, 0x104); // same dword as store 1
-        lsq.push(InstId(4), false, 0x300); // independent
-        lsq.push(InstId(6), false, 0x200); // matches store 2
-        lsq.push(InstId(7), true, 0x300); // younger than every load
-        for id in [3, 4, 6] {
-            lsq.load_addr_done(InstId(id));
-        }
-        // Store 1 known but unready; store 2 fully unknown: everything
-        // after store 1's match check still waits on store 2's address.
-        lsq.store_addr_done(InstId(1));
-        assert_actions_match_reference(&mut lsq);
-        // Store 2's address arrives: load 4 can access, load 6 still waits
-        // for store 2's data, load 3 for store 1's.
-        lsq.store_addr_done(InstId(2));
-        assert_actions_match_reference(&mut lsq);
-        let mut actions = Vec::new();
-        lsq.pending_load_actions_into(&mut actions);
-        assert_eq!(actions, vec![(InstId(4), LoadAction::Access)]);
-        // Data arrives: both matched loads forward.
-        lsq.store_data_ready(InstId(1));
-        lsq.store_data_ready(InstId(2));
-        assert_actions_match_reference(&mut lsq);
-        let mut actions = Vec::new();
-        lsq.pending_load_actions_into(&mut actions);
-        assert_eq!(
-            actions,
-            vec![
-                (InstId(3), LoadAction::Forward),
-                (InstId(4), LoadAction::Access),
-                (InstId(6), LoadAction::Forward),
-            ]
-        );
-    }
-
-    #[test]
-    fn any_unready_matching_store_blocks_even_with_a_ready_younger_match() {
-        // Two stores to the same dword: the older one has no data yet. The
-        // reference scan aborts at the first unready match; the merge
-        // walk's all-matches-ready AND must agree (Wait, not Forward).
-        let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), true, 0x100);
-        lsq.push(InstId(3), false, 0x100);
-        lsq.store_addr_done(InstId(1));
-        lsq.store_addr_done(InstId(2));
-        lsq.store_data_ready(InstId(2));
-        lsq.load_addr_done(InstId(3));
-        assert_eq!(lsq.load_action(InstId(3)), LoadAction::Wait);
-        assert_actions_match_reference(&mut lsq);
-        let mut actions = Vec::new();
-        lsq.pending_load_actions_into(&mut actions);
-        assert!(actions.is_empty(), "blocked load must not surface");
-    }
-
-    #[test]
-    fn action_cache_invalidates_on_every_state_change() {
-        let mut lsq = Lsq::new();
-        lsq.push(InstId(1), true, 0x100);
-        lsq.push(InstId(2), false, 0x100);
-        lsq.load_addr_done(InstId(2));
-        let mut actions = Vec::new();
-        // Unknown store address: nothing actionable (and now cached).
-        lsq.pending_load_actions_into(&mut actions);
-        assert!(actions.is_empty());
-        lsq.pending_load_actions_into(&mut actions);
-        assert!(actions.is_empty(), "cached answer is stable");
-        // Each mutation must be visible through the cache.
-        lsq.store_addr_done(InstId(1));
-        assert_actions_match_reference(&mut lsq);
-        lsq.store_data_ready(InstId(1));
-        lsq.pending_load_actions_into(&mut actions);
-        assert_eq!(actions, vec![(InstId(2), LoadAction::Forward)]);
-        lsq.load_started(InstId(2), true);
-        lsq.pending_load_actions_into(&mut actions);
-        assert!(actions.is_empty(), "started load leaves the pending set");
-        // Committing the store invalidates too (no stale match survives).
-        lsq.pop(InstId(1));
-        lsq.push(InstId(9), false, 0x100);
-        lsq.load_addr_done(InstId(9));
-        lsq.pending_load_actions_into(&mut actions);
-        assert_eq!(actions, vec![(InstId(9), LoadAction::Access)]);
     }
 }

@@ -130,16 +130,19 @@ fn open_store(flags: &std::collections::HashMap<String, String>) -> ResultStore 
 }
 
 fn cmd_run(args: &[String]) {
-    let (Some(scheme_name), Some(workload_uri)) = (args.first(), args.get(1)) else {
+    let [scheme_name, workload_uri, rest @ ..] = args else {
         usage();
     };
+    if rest.len() > 1 {
+        usage();
+    }
     let Some(scheme) = scheme_by_name(scheme_name) else {
         fail(format!("unknown scheme `{scheme_name}` (see `diq list`)"));
     };
     // One resolution path with `diq sweep` and `diq serve`: any workload
     // URI (kernel:, profile:, trace:, or a bare name) runs here.
     let source = WorkloadSource::resolve_one(workload_uri).unwrap_or_else(|e| fail(e));
-    let n: u64 = match args.get(2) {
+    let n: u64 = match rest.first() {
         Some(s) => parse_count(s)
             .unwrap_or_else(|| fail(format!("bad instruction count `{s}` (try 250000 or 100k)"))),
         None => diq::exp::DEFAULT_INSTRUCTIONS,
@@ -804,6 +807,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
+            if args.len() > 1 {
+                usage();
+            }
             println!("benchmarks (synthetic SPEC2000 models):");
             for s in suite::all() {
                 println!(
@@ -823,7 +829,7 @@ fn main() {
         }
         Some("run") => cmd_run(&args[1..]),
         Some("figure") => {
-            let Some(id) = args.get(1) else { usage() };
+            let [_, id] = args.as_slice() else { usage() };
             let h = Harness::new();
             match figure_by_id(id, &h) {
                 Some(fig) => println!("{fig}"),
@@ -836,6 +842,9 @@ fn main() {
             }
         }
         Some("figures") => {
+            if args.len() > 1 {
+                usage();
+            }
             let h = Harness::new();
             for fig in figures::all(&h) {
                 println!("{fig}");

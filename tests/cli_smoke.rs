@@ -192,3 +192,36 @@ fn closed_stdout_ends_quietly() {
         assert_ne!(out.status.code(), Some(101), "{shape}: panic exit status");
     }
 }
+
+/// Runs `diq` with `args` and asserts it exits 2 with the usage text and
+/// prints nothing on stdout (the subcommand did not run).
+fn assert_rejected_as_usage(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .args(args)
+        .output()
+        .expect("run diq");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: usage exit code");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: the subcommand ran");
+}
+
+#[test]
+fn diq_list_rejects_extra_arguments() {
+    assert_rejected_as_usage(&["list", "extra"]);
+}
+
+#[test]
+fn diq_run_rejects_extra_arguments() {
+    assert_rejected_as_usage(&["run", "IQ_64_64", "kernel:gzip", "1000", "extra"]);
+}
+
+#[test]
+fn diq_figure_rejects_extra_arguments() {
+    assert_rejected_as_usage(&["figure", "tab1", "extra"]);
+}
+
+#[test]
+fn diq_figures_rejects_extra_arguments() {
+    assert_rejected_as_usage(&["figures", "sec3"]);
+}

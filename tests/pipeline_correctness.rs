@@ -220,14 +220,16 @@ fn replay_invariants_hold_for_every_scheme() {
 #[test]
 fn lsq_forwards_same_dword_and_ignores_adjacent_dwords() {
     let mut lsq = Lsq::new();
-    lsq.push(InstId(1), true, 0x1000);
-    lsq.push(InstId(2), false, 0x1007); // last byte of the store's dword
-    lsq.push(InstId(3), false, 0x1008); // first byte of the next dword
-    lsq.push(InstId(4), false, 0x0ff8); // dword just below
-    lsq.store_addr_done(InstId(1));
-    lsq.store_data_ready(InstId(1));
-    for id in [2, 3, 4] {
-        lsq.load_addr_done(InstId(id));
+    let store = lsq.push(InstId(1), true, 0x1000);
+    let loads = [
+        lsq.push(InstId(2), false, 0x1007), // last byte of the store's dword
+        lsq.push(InstId(3), false, 0x1008), // first byte of the next dword
+        lsq.push(InstId(4), false, 0x0ff8), // dword just below
+    ];
+    lsq.store_addr_done(store);
+    lsq.store_data_ready(store);
+    for seq in loads {
+        lsq.load_addr_done(seq);
     }
     assert_eq!(lsq.load_action(InstId(2)), LoadAction::Forward);
     assert_eq!(lsq.load_action(InstId(3)), LoadAction::Access);
@@ -251,19 +253,19 @@ fn lsq_forwards_same_dword_and_ignores_adjacent_dwords() {
 #[test]
 fn lsq_load_stalls_on_unknown_older_store_address() {
     let mut lsq = Lsq::new();
-    lsq.push(InstId(1), true, 0x2000); // address not yet generated
-    lsq.push(InstId(2), true, 0x3000); // second unknown store
-    lsq.push(InstId(3), false, 0x4000); // independent load
-    lsq.load_addr_done(InstId(3));
+    let store1 = lsq.push(InstId(1), true, 0x2000); // address not yet generated
+    let store2 = lsq.push(InstId(2), true, 0x3000); // second unknown store
+    let load = lsq.push(InstId(3), false, 0x4000); // independent load
+    lsq.load_addr_done(load);
     assert_eq!(lsq.load_action(InstId(3)), LoadAction::Wait);
     let mut actions = Vec::new();
     lsq.pending_load_actions_into(&mut actions);
     assert!(actions.is_empty(), "blocked loads must not surface");
     // First store resolves (different dword) — the second still blocks.
-    lsq.store_addr_done(InstId(1));
+    lsq.store_addr_done(store1);
     assert_eq!(lsq.load_action(InstId(3)), LoadAction::Wait);
     // Both resolved, no alias: the load may access.
-    lsq.store_addr_done(InstId(2));
+    lsq.store_addr_done(store2);
     assert_eq!(lsq.load_action(InstId(3)), LoadAction::Access);
     lsq.pending_load_actions_into(&mut actions);
     assert_eq!(actions, vec![(InstId(3), LoadAction::Access)]);
@@ -277,14 +279,14 @@ fn lsq_load_stalls_on_unknown_older_store_address() {
 #[test]
 fn lsq_disambiguation_survives_wrong_path_truncation() {
     let mut lsq = Lsq::new();
-    lsq.push(InstId(1), true, 0x1000); // correct-path store
-    lsq.push(InstId(2), false, 0x1004); // correct-path load, same dword
+    let store = lsq.push(InstId(1), true, 0x1000); // correct-path store
+    let load = lsq.push(InstId(2), false, 0x1004); // correct-path load, same dword
     lsq.push(InstId(3), true, 0x9000); // wrong-path store, addr unknown
-    lsq.push(InstId(4), false, 0x9008); // wrong-path load
-    lsq.store_addr_done(InstId(1));
-    lsq.store_data_ready(InstId(1));
-    lsq.load_addr_done(InstId(2));
-    lsq.load_addr_done(InstId(4));
+    let doomed = lsq.push(InstId(4), false, 0x9008); // wrong-path load
+    lsq.store_addr_done(store);
+    lsq.store_data_ready(store);
+    lsq.load_addr_done(load);
+    lsq.load_addr_done(doomed);
     // The wrong-path store's unknown address blocks nothing older than it,
     // but does block the younger wrong-path load.
     assert_eq!(lsq.load_action(InstId(2)), LoadAction::Forward);
@@ -301,8 +303,8 @@ fn lsq_disambiguation_survives_wrong_path_truncation() {
     );
     // The correct path reuses id 3 for a load to the store's dword: it
     // must see the surviving store, not any ghost of the squashed one.
-    lsq.push(InstId(3), false, 0x1000);
-    lsq.load_addr_done(InstId(3));
+    let reused = lsq.push(InstId(3), false, 0x1000);
+    lsq.load_addr_done(reused);
     assert_eq!(lsq.load_action(InstId(3)), LoadAction::Forward);
     lsq.pending_load_actions_into(&mut actions);
     assert_eq!(
@@ -313,8 +315,8 @@ fn lsq_disambiguation_survives_wrong_path_truncation() {
         ]
     );
     // Commit order still holds after the truncation.
-    lsq.load_started(InstId(2), true);
-    lsq.load_started(InstId(3), true);
+    lsq.load_started(load, true);
+    lsq.load_started(reused, true);
     lsq.pop(InstId(1));
     lsq.pop(InstId(2));
     lsq.pop(InstId(3));

@@ -1,15 +1,147 @@
-//! Property tests of the substrate data structures: caches, BTB, issue-time
-//! estimation, selection keys, and the statistics helpers.
+//! Property tests of the substrate data structures: caches, BTB, the
+//! load/store queue, issue-time estimation, selection keys, and the
+//! statistics helpers.
 
 use diq::branch::Btb;
-use diq::isa::{ArchReg, CacheGeometry, Cycle, Inst, LatencyConfig};
+use diq::isa::{ArchReg, CacheGeometry, Cycle, Inst, InstId, LatencyConfig};
 use diq::mem::Cache;
+use diq::pipeline::{LoadAction, Lsq};
 use diq::sched::select::{selection_key, LatencyCode};
 use diq::sched::IssueTimeEstimator;
 use diq::stats::{harmonic_mean, Histogram};
 use proptest::prelude::*;
 
+/// The test's own view of one LSQ entry, in program order.
+struct LsqModel {
+    id: InstId,
+    seq: u64,
+    store: bool,
+    addr_done: bool,
+    data_ready: bool,
+    started: bool,
+}
+
+impl LsqModel {
+    /// Whether commit may retire it (the simulator's completion rule).
+    fn done(&self) -> bool {
+        if self.store {
+            self.addr_done && self.data_ready
+        } else {
+            self.started
+        }
+    }
+}
+
+/// Applies one random operation through the position API. `kind` picks the
+/// operation, `pick` the entry it applies to (ignored when none qualifies).
+fn lsq_step(
+    lsq: &mut Lsq,
+    model: &mut Vec<LsqModel>,
+    next_id: &mut u64,
+    forwards: &mut u64,
+    (kind, pick, flag, addr): (u8, usize, bool, u8),
+) {
+    let nth = |model: &[LsqModel], want: &dyn Fn(&LsqModel) -> bool| {
+        let hits: Vec<usize> = (0..model.len()).filter(|&i| want(&model[i])).collect();
+        (!hits.is_empty()).then(|| hits[pick % hits.len()])
+    };
+    match kind {
+        0 | 1 => {
+            let id = InstId(*next_id);
+            *next_id += 1 + (pick % 3) as u64;
+            // Four addresses over two dwords: most accesses alias.
+            let seq = lsq.push(id, flag, 0x100 + u64::from(addr % 4) * 4);
+            model.push(LsqModel {
+                id,
+                seq,
+                store: flag,
+                addr_done: false,
+                data_ready: false,
+                started: false,
+            });
+        }
+        2 => {
+            if let Some(i) = nth(model, &|e| e.store && !e.addr_done) {
+                lsq.store_addr_done(model[i].seq);
+                model[i].addr_done = true;
+            }
+        }
+        3 => {
+            if let Some(i) = nth(model, &|e| e.store && !e.data_ready) {
+                lsq.store_data_ready(model[i].seq);
+                model[i].data_ready = true;
+            }
+        }
+        4 => {
+            if let Some(i) = nth(model, &|e| !e.store && !e.addr_done) {
+                lsq.load_addr_done(model[i].seq);
+                model[i].addr_done = true;
+            }
+        }
+        5 => {
+            let ready = |e: &LsqModel| {
+                !e.store && e.addr_done && !e.started && lsq.load_action(e.id) != LoadAction::Wait
+            };
+            if let Some(i) = nth(model, &ready) {
+                let forwarded = lsq.load_action(model[i].id) == LoadAction::Forward;
+                lsq.load_started(model[i].seq, forwarded);
+                model[i].started = true;
+                *forwards += u64::from(forwarded);
+            }
+        }
+        6 => {
+            if model.first().is_some_and(LsqModel::done) {
+                lsq.pop(model.remove(0).id);
+            }
+        }
+        _ => {
+            // Wrong-path squash: ids rewind, so the next pushes reuse them.
+            if let Some(i) = nth(model, &|_| true) {
+                let from = model[i].id;
+                lsq.squash(from);
+                model.truncate(i);
+                *next_id = from.0;
+            }
+        }
+    }
+}
+
 proptest! {
+    /// Random push, address-done, data-ready, load-started, pop and squash
+    /// sequences through the position API: after every step the cached
+    /// merge walk equals the per-load `load_action` scan, and the queue
+    /// holds exactly the model's entries and pending loads.
+    #[test]
+    fn lsq_merge_walk_matches_the_scan_oracle(
+        ops in proptest::collection::vec((0u8..8, 0usize..64, any::<bool>(), any::<u8>()), 1..160)
+    ) {
+        let mut lsq = Lsq::new();
+        let mut model = Vec::new();
+        let (mut next_id, mut forwards) = (0, 0);
+        let mut actions = Vec::new();
+        for op in ops {
+            lsq_step(&mut lsq, &mut model, &mut next_id, &mut forwards, op);
+            let pending: Vec<InstId> = model
+                .iter()
+                .filter(|e| !e.store && e.addr_done && !e.started)
+                .map(|e| e.id)
+                .collect();
+            prop_assert_eq!(lsq.pending_loads(), pending.clone());
+            let expected: Vec<(InstId, LoadAction)> = pending
+                .iter()
+                .map(|&id| (id, lsq.load_action(id)))
+                .filter(|&(_, a)| a != LoadAction::Wait)
+                .collect();
+            lsq.pending_load_actions_into(&mut actions);
+            prop_assert_eq!(&actions, &expected, "after {:?}", op);
+            // A second call is served from the cache and must not drift.
+            lsq.pending_load_actions_into(&mut actions);
+            prop_assert_eq!(&actions, &expected, "cached, after {:?}", op);
+            prop_assert_eq!(lsq.len(), model.len());
+            prop_assert_eq!(lsq.forwards, forwards);
+        }
+    }
+
     /// A cache hit is guaranteed immediately after an access to the same
     /// line, regardless of the access history.
     #[test]

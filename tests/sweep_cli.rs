@@ -246,3 +246,35 @@ fn usage_lists_experiment_subcommands() {
         );
     }
 }
+
+#[test]
+fn zero_machine_knob_fails_validation_instead_of_deadlocking() {
+    let dir = tmp_dir("zero-knob");
+    let spec = dir.join("zero.json");
+    fs::write(
+        &spec,
+        r#"{"name":"zero","instructions":["1k"],"schemes":["MB_distr"],
+            "workloads":["gzip"],"machines":[{"commit_width":0}]}"#,
+    )
+    .unwrap();
+    let store = dir.join("store");
+    let out = diq(&[
+        "sweep",
+        spec.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "validation error, not a panic: {stderr}"
+    );
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(
+        stderr.contains("`commit_width` must be at least 1"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("deadlock"), "{stderr}");
+    let _ = fs::remove_dir_all(dir);
+}
