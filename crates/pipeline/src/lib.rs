@@ -71,6 +71,7 @@ mod lsq;
 mod profile;
 mod rename;
 mod stats;
+mod window;
 mod workload;
 
 pub use lsq::{LoadAction, Lsq};
@@ -80,74 +81,14 @@ pub use stats::SimStats;
 pub use workload::{SourceCheckpoint, TraceSource, Workload};
 
 use profile::StageTimer;
+use window::{Slot, Window, NO_LSQ};
 
-use diq_branch::{BranchCheckpoint, BranchUnit, Prediction};
+use diq_branch::{BranchCheckpoint, BranchUnit};
 use diq_core::{DispatchInst, FuTopology, Scheduler, SchedulerConfig};
 use diq_isa::{Cycle, Inst, InstId, OpClass, PhysReg, ProcessorConfig};
 use diq_mem::MemoryHierarchy;
 use exec::{CycleSink, EventKind, EventQueue, FuState, Issued};
 use std::collections::VecDeque;
-
-/// One instruction in the [`Window`], fetch through commit. Fetch writes
-/// the slot once; dispatch fills the rename fields in place.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    inst: Inst,
-    pred: Option<Prediction>,
-    mispredicted: bool,
-    /// Fetched past an unresolved mispredicted branch (speculation mode).
-    wrong_path: bool,
-    dst: Option<PhysReg>,
-    srcs: [Option<PhysReg>; 2],
-    /// Store data register: not an issue condition (stores issue once the
-    /// address operand is ready, as in SimpleScalar), but the store cannot
-    /// complete until the data exists.
-    store_data: Option<PhysReg>,
-    /// The destination's previous mapping: freed at commit, restored by a
-    /// wrong-path squash.
-    prev_mapping: Option<PhysReg>,
-    /// Globally unique dispatch sequence number. Completion events carry
-    /// it; after a squash reuses instruction ids for the correct path, a
-    /// stale event's token no longer matches and the event is dead. A
-    /// load-hit-speculation replay *bumps* the token, so the cancelled
-    /// speculative pass's completion events die the same way.
-    token: u64,
-    /// The memory operation's [`Lsq`] sequence number.
-    lsq: u64,
-    completed: bool,
-    /// Already left the issue queue.
-    issued: bool,
-    /// Issued on a speculatively woken operand; still occupying its
-    /// issue-queue slot until the miss cancel (or a squash) resolves it.
-    spec_held: bool,
-    /// Un-issued by a miss cancel and waiting to re-issue at the true fill.
-    replay_pending: bool,
-    /// Cycle of the most recent speculative issue (replay-latency
-    /// accounting).
-    spec_issued_at: Cycle,
-}
-
-impl Slot {
-    fn fetched(inst: Inst, wrong_path: bool) -> Self {
-        Slot {
-            inst,
-            pred: None,
-            mispredicted: false,
-            wrong_path,
-            dst: None,
-            srcs: [None; 2],
-            store_data: None,
-            prev_mapping: None,
-            token: 0,
-            lsq: 0,
-            completed: false,
-            issued: false,
-            spec_held: false,
-            replay_pending: false,
-            spec_issued_at: 0,
-        }
-    }
-}
 
 /// One load in its speculative-wakeup window: the tag was broadcast at the
 /// predicted hit latency and the miss cancel has not run yet. Consumers
@@ -163,92 +104,6 @@ struct SpecLoad {
 /// Cycles without a commit after which the simulator declares deadlock
 /// (always indicates a scheme/pipeline bug; surfaced loudly for tests).
 const DEADLOCK_LIMIT: u64 = 100_000;
-
-/// The instruction window: every instruction from fetch to commit, in one
-/// ring indexed by `id - base`. `slots[..dispatched]` is the reorder
-/// buffer, `slots[dispatched..]` the fetch queue.
-///
-/// Instruction ids are dense from fetch to commit — fetch numbers the
-/// slots it appends, commit pops the front, and a wrong-path squash
-/// truncates the back — so `base + slots.len()` is always the next id to
-/// fetch, and a recovery rewinds it just by truncating.
-#[derive(Debug)]
-struct Window {
-    base: u64,
-    slots: VecDeque<Slot>,
-    dispatched: usize,
-}
-
-impl Window {
-    fn with_capacity(capacity: usize) -> Self {
-        Window {
-            base: 0,
-            slots: VecDeque::with_capacity(capacity),
-            dispatched: 0,
-        }
-    }
-
-    fn fetch_queue_len(&self) -> usize {
-        self.slots.len() - self.dispatched
-    }
-
-    fn next_id(&self) -> InstId {
-        InstId(self.base + self.slots.len() as u64)
-    }
-
-    /// The slot of a dispatched, not yet committed instruction. An id that
-    /// was fetched but not dispatched is not in flight: an event naming it
-    /// belongs to a squashed predecessor and is dead.
-    fn get(&self, id: InstId) -> Option<&Slot> {
-        let i = id.0.wrapping_sub(self.base);
-        (i < self.dispatched as u64).then(|| &self.slots[i as usize])
-    }
-
-    fn get_mut(&mut self, id: InstId) -> Option<&mut Slot> {
-        let i = id.0.wrapping_sub(self.base);
-        (i < self.dispatched as u64).then(|| &mut self.slots[i as usize])
-    }
-
-    /// The oldest dispatched instruction.
-    fn head(&self) -> Option<&Slot> {
-        self.slots.front().filter(|_| self.dispatched > 0)
-    }
-
-    fn commit_head(&mut self) {
-        self.slots.pop_front();
-        self.base += 1;
-        self.dispatched -= 1;
-    }
-
-    /// The oldest fetched instruction not yet dispatched.
-    fn next_to_dispatch(&self) -> Option<&Slot> {
-        self.slots.get(self.dispatched)
-    }
-
-    /// Moves the fetch queue's head into the ROB.
-    fn dispatch_next(&mut self) -> &mut Slot {
-        self.dispatched += 1;
-        &mut self.slots[self.dispatched - 1]
-    }
-
-    /// Wrong-path squash: drops the whole fetch queue, then every
-    /// dispatched slot with `id >= from`, youngest first, handing each to
-    /// `unwind`. Returns the (fetch-queue, ROB) counts dropped.
-    fn squash_from(&mut self, from: InstId, unwind: impl FnMut(&Slot)) -> (u64, u64) {
-        let keep = (from.0 - self.base) as usize;
-        let dropped = (
-            self.fetch_queue_len() as u64,
-            (self.dispatched - keep) as u64,
-        );
-        self.slots
-            .range(keep..self.dispatched)
-            .rev()
-            .for_each(unwind);
-        self.slots.truncate(keep);
-        self.dispatched = keep;
-        dropped
-    }
-}
 
 /// Front-end checkpoint for the single outstanding correct-path
 /// misprediction: once fetch turns down the wrong path, every younger
@@ -443,7 +298,7 @@ impl Simulator {
         let mut trace_done = false;
         while self.stats.committed < commit_target {
             let progress = self.cycle(workload, &mut trace_done);
-            if trace_done && self.window.slots.is_empty() && self.pending_fetch.is_none() {
+            if trace_done && self.window.is_empty() && self.pending_fetch.is_none() {
                 break;
             }
             if !progress {
@@ -455,7 +310,7 @@ impl Simulator {
                 self.last_commit_at,
                 self.now,
                 self.sched.name(),
-                self.window.dispatched,
+                self.window.rob_len(),
                 self.sched.occupancy(),
                 self.events.next_at(),
             );
@@ -600,7 +455,7 @@ impl Simulator {
     fn commit_stage(&mut self) -> bool {
         let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.window.head() else {
+            let Some((id, head)) = self.window.head() else {
                 break;
             };
             if !head.completed {
@@ -612,7 +467,7 @@ impl Simulator {
                     self.mem
                         .store(head.inst.mem.expect("store has address").addr);
                 }
-                self.lsq.pop(InstId(self.window.base));
+                self.lsq.pop(id);
             }
             if let Some(prev) = head.prev_mapping {
                 self.rename.release(prev);
@@ -784,19 +639,14 @@ impl Simulator {
     // ---- mispredict recovery ------------------------------------------
 
     /// Squashes everything younger than the resolving mispredicted
-    /// `branch`: the fetch queue (all wrong-path by construction), the ROB
-    /// suffix (unwinding the rename map youngest-first), the in-flight
-    /// table, the LSQ, and the scheduler's queues. The instruction-id
-    /// counter rewinds so the refetched correct path reuses the squashed id
-    /// range; stale completion events die by token mismatch.
+    /// `branch`: the window drops its fetch-queue part (all wrong-path by
+    /// construction) and the ROB suffix, unwinding the rename map
+    /// youngest first; then the LSQ and the scheduler's queues squash.
+    /// Truncating the window rewinds the next instruction id, so the
+    /// refetched correct path reuses the squashed id range; stale
+    /// completion events die by token mismatch.
     fn recover(&mut self, branch: InstId) {
         let from = InstId(branch.0 + 1);
-        // Everything still in the fetch queue was fetched past the branch.
-        debug_assert!(self
-            .window
-            .slots
-            .range(self.window.dispatched..)
-            .all(|f| f.wrong_path));
         // The batch buffer holds only wrong-path pulls (fills stop after
         // every branch, so nothing was buffered past the mispredicted one
         // when fetch turned down the wrong path) — none were counted
@@ -809,7 +659,6 @@ impl Simulator {
         self.fetch_stalled_until = self.fetch_stalled_until.min(self.now);
         let rename = &mut self.rename;
         let (flushed, rob_squashed) = self.window.squash_from(from, |e| {
-            debug_assert!(e.wrong_path, "only wrong-path entries squash");
             if let Some(arch) = e.inst.dst {
                 let new = e.dst.expect("renamed destination");
                 let prev = e.prev_mapping.expect("previous mapping recorded");
@@ -846,22 +695,18 @@ impl Simulator {
         // Post-recovery invariant: the scheduler holds exactly the
         // surviving dispatched-but-unissued instructions — where a
         // speculatively issued (held) instruction still occupies its slot.
-        #[cfg(debug_assertions)]
-        {
-            let (oi, of) = self.sched.occupancy();
-            let unissued = self
-                .window
-                .slots
-                .range(..self.window.dispatched)
+        debug_assert_eq!(
+            {
+                let (int, fp) = self.sched.occupancy();
+                int + fp
+            },
+            self.window
+                .rob()
                 .filter(|e| !e.issued || e.spec_held)
-                .count();
-            debug_assert_eq!(
-                oi + of,
-                unissued,
-                "scheduler occupancy diverged from ROB after squash ({})",
-                self.sched.name()
-            );
-        }
+                .count(),
+            "scheduler occupancy diverged from ROB after squash ({})",
+            self.sched.name()
+        );
     }
 
     // ---- memory -------------------------------------------------------
@@ -1017,10 +862,10 @@ impl Simulator {
         let mut stall = None;
         let mut dispatched = false;
         for _ in 0..self.cfg.decode_width {
-            let Some(fetched) = self.window.next_to_dispatch() else {
+            let Some((id, fetched)) = self.window.next_to_dispatch() else {
                 break;
             };
-            if self.window.dispatched >= self.cfg.rob_entries {
+            if self.window.rob_len() >= self.cfg.rob_entries {
                 stall = Some((0, None)); // rob_full
                 break;
             }
@@ -1058,7 +903,6 @@ impl Simulator {
             let dst_peek = inst
                 .dst
                 .map(|d| self.rename.peek_allocate(d.class()).expect("checked"));
-            let id = InstId(self.window.base + self.window.dispatched as u64);
             let di = DispatchInst {
                 id,
                 op: inst.op,
@@ -1089,7 +933,7 @@ impl Simulator {
                 let addr = inst.mem.expect("memory op has address").addr;
                 self.lsq.push(id, is_store, addr)
             } else {
-                0
+                NO_LSQ
             };
             if fetched.wrong_path {
                 self.stats.wrong_path_dispatched += 1;
@@ -1209,7 +1053,7 @@ impl Simulator {
             if fetched.wrong_path {
                 self.stats.wrong_path_fetched += 1;
             }
-            self.window.slots.push_back(fetched);
+            self.window.push(fetched);
             if mispredicted {
                 if speculating {
                     let pred = pred.expect("branch predicted");

@@ -141,6 +141,9 @@ impl Lsq {
         seq
     }
 
+    /// The entry `push` numbered `seq`. A number that no live entry has —
+    /// already popped or squashed, or the pipeline's no-entry sentinel —
+    /// lands outside the queue and panics.
     fn entry_mut(&mut self, seq: u64) -> &mut LsqEntry {
         &mut self.entries[(seq - self.base) as usize]
     }
@@ -198,8 +201,8 @@ impl Lsq {
     /// queue entry — the straightforward reference form of the
     /// disambiguation rules. The simulator uses the equivalent (and much
     /// cheaper) [`pending_load_actions_into`](Self::pending_load_actions_into);
-    /// a property test (`tests/proptest_structures.rs`) asserts the two
-    /// agree after every step of random queue histories.
+    /// unit tests below and a property test (`tests/proptest_structures.rs`)
+    /// assert the two agree, so keep them in lockstep.
     ///
     /// # Panics
     ///
@@ -438,5 +441,118 @@ mod tests {
         lsq.load_addr_done(b);
         lsq.load_addr_done(a);
         assert_eq!(lsq.pending_loads(), vec![InstId(3), InstId(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Out of bounds")]
+    fn a_number_no_entry_has_panics_instead_of_updating_another() {
+        let mut lsq = Lsq::new();
+        lsq.push(InstId(1), true, 0x100);
+        // The pipeline's sentinel for instructions without an entry.
+        lsq.store_addr_done(u64::MAX);
+    }
+
+    /// The per-cycle merge walk must agree with the reference
+    /// `load_action` scan: same actions, `Wait`s omitted, program order.
+    fn assert_actions_match_reference(lsq: &mut Lsq) {
+        let expected: Vec<(InstId, LoadAction)> = lsq
+            .pending_loads()
+            .into_iter()
+            .map(|id| (id, lsq.load_action(id)))
+            .filter(|&(_, a)| a != LoadAction::Wait)
+            .collect();
+        let mut actual = Vec::new();
+        lsq.pending_load_actions_into(&mut actual);
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
+    fn merge_walk_matches_reference_scan_through_a_store_lifecycle() {
+        let mut lsq = Lsq::new();
+        // Stores at two dwords bracketing three loads, plus an aliasing
+        // younger store that must not matter.
+        let st1 = lsq.push(InstId(1), true, 0x100); // matches load 3
+        let st2 = lsq.push(InstId(2), true, 0x200); // unknown addr blocks loads 4, 6
+        let ld3 = lsq.push(InstId(3), false, 0x104); // same dword as store 1
+        let ld4 = lsq.push(InstId(4), false, 0x300); // independent
+        let ld6 = lsq.push(InstId(6), false, 0x200); // matches store 2
+        lsq.push(InstId(7), true, 0x300); // younger than every load
+        for ld in [ld3, ld4, ld6] {
+            lsq.load_addr_done(ld);
+        }
+        // Store 1 known but unready; store 2 fully unknown: everything
+        // after store 1's match check still waits on store 2's address.
+        lsq.store_addr_done(st1);
+        assert_actions_match_reference(&mut lsq);
+        // Store 2's address arrives: load 4 can access, load 6 still waits
+        // for store 2's data, load 3 for store 1's.
+        lsq.store_addr_done(st2);
+        assert_actions_match_reference(&mut lsq);
+        let mut actions = Vec::new();
+        lsq.pending_load_actions_into(&mut actions);
+        assert_eq!(actions, vec![(InstId(4), LoadAction::Access)]);
+        // Data arrives: both matched loads forward.
+        lsq.store_data_ready(st1);
+        lsq.store_data_ready(st2);
+        assert_actions_match_reference(&mut lsq);
+        let mut actions = Vec::new();
+        lsq.pending_load_actions_into(&mut actions);
+        assert_eq!(
+            actions,
+            vec![
+                (InstId(3), LoadAction::Forward),
+                (InstId(4), LoadAction::Access),
+                (InstId(6), LoadAction::Forward),
+            ]
+        );
+    }
+
+    #[test]
+    fn any_unready_matching_store_blocks_even_with_a_ready_younger_match() {
+        // Two stores to the same dword: the older one has no data yet. The
+        // reference scan aborts at the first unready match; the merge
+        // walk's all-matches-ready AND must agree (Wait, not Forward).
+        let mut lsq = Lsq::new();
+        let st1 = lsq.push(InstId(1), true, 0x100);
+        let st2 = lsq.push(InstId(2), true, 0x100);
+        let ld = lsq.push(InstId(3), false, 0x100);
+        lsq.store_addr_done(st1);
+        lsq.store_addr_done(st2);
+        lsq.store_data_ready(st2);
+        lsq.load_addr_done(ld);
+        assert_eq!(lsq.load_action(InstId(3)), LoadAction::Wait);
+        assert_actions_match_reference(&mut lsq);
+        let mut actions = Vec::new();
+        lsq.pending_load_actions_into(&mut actions);
+        assert!(actions.is_empty(), "blocked load must not surface");
+    }
+
+    #[test]
+    fn action_cache_invalidates_on_every_state_change() {
+        let mut lsq = Lsq::new();
+        let st = lsq.push(InstId(1), true, 0x100);
+        let ld = lsq.push(InstId(2), false, 0x100);
+        lsq.load_addr_done(ld);
+        let mut actions = Vec::new();
+        // Unknown store address: nothing actionable (and now cached).
+        lsq.pending_load_actions_into(&mut actions);
+        assert!(actions.is_empty());
+        lsq.pending_load_actions_into(&mut actions);
+        assert!(actions.is_empty(), "cached answer is stable");
+        // Each mutation must be visible through the cache.
+        lsq.store_addr_done(st);
+        assert_actions_match_reference(&mut lsq);
+        lsq.store_data_ready(st);
+        lsq.pending_load_actions_into(&mut actions);
+        assert_eq!(actions, vec![(InstId(2), LoadAction::Forward)]);
+        lsq.load_started(ld, true);
+        lsq.pending_load_actions_into(&mut actions);
+        assert!(actions.is_empty(), "started load leaves the pending set");
+        // Committing the store invalidates too (no stale match survives).
+        lsq.pop(InstId(1));
+        let ld9 = lsq.push(InstId(9), false, 0x100);
+        lsq.load_addr_done(ld9);
+        lsq.pending_load_actions_into(&mut actions);
+        assert_eq!(actions, vec![(InstId(9), LoadAction::Access)]);
     }
 }
