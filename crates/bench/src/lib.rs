@@ -1,30 +1,7 @@
-//! Support for the figure-regeneration bench targets.
-//!
-//! Every table and figure of the paper has a `cargo bench` target
-//! (`fig2_issuefifo_int`, …, `fig15_ed2`, `headline_claims`): each runs the
-//! sweep it needs through a shared [`diq_sim::Harness`] and prints the
-//! paper-shaped rows. `micro_schedulers` is a conventional Criterion
-//! benchmark of the scheduler primitives.
-//!
-//! Instruction count defaults to 100 000 per benchmark; set `DIQ_INSTRS` to
-//! trade time for fidelity.
+//! Bench targets: `micro_schedulers` (Criterion timings of the scheduler
+//! primitives and the simulator) and the `ablation_chains` /
+//! `ablation_priority` sweeps of design choices the paper fixes. The
+//! paper's figures come from `diq figure <id>`, simulator speed from
+//! `python3 perfbench/run.py`. Set `DIQ_INSTRS` to trade time for fidelity.
 
 #![deny(missing_docs)]
-
-use diq_sim::{Figure, Harness};
-
-/// Runs one figure constructor and prints it (with timing), exiting
-/// non-zero if the figure produced no rows.
-pub fn emit(name: &str, build: impl FnOnce(&Harness) -> Figure) {
-    let start = std::time::Instant::now();
-    let harness = Harness::new();
-    let fig = build(&harness);
-    println!("{fig}");
-    eprintln!(
-        "[{name}] {} rows in {:.1}s ({} instructions/benchmark)",
-        fig.rows.len(),
-        start.elapsed().as_secs_f64(),
-        harness.instructions(),
-    );
-    assert!(!fig.rows.is_empty(), "{name} produced no rows");
-}

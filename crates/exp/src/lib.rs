@@ -46,7 +46,6 @@ mod point;
 mod runner;
 mod spec;
 mod store;
-mod throughput;
 
 pub use compare::{Comparison, PointDelta, RunSummary};
 pub use inflight::InflightRegistry;
@@ -56,7 +55,6 @@ pub use spec::{
     validate_run_name, ExperimentSpec, InstrCount, MachineKnobs, SchemeSel, WorkloadSel,
 };
 pub use store::{ManifestEntry, PointRecord, ResultStore, RunManifest, StoreWriter};
-pub use throughput::{ThroughputPoint, ThroughputProbe, ThroughputSummary};
 
 use std::fmt;
 

@@ -2,7 +2,7 @@
 
 use diq_core::SchedulerConfig;
 use diq_isa::ProcessorConfig;
-use diq_pipeline::{SimStats, Simulator, TraceSource};
+use diq_pipeline::{SimStats, Simulator, StageProfile, TraceSource};
 use diq_workload::{trace, TraceReader, WorkloadSource, WorkloadSpec};
 use serde::{Deserialize, Serialize, Value};
 
@@ -84,13 +84,6 @@ impl Point {
         self.source.seed()
     }
 
-    /// The generator spec, for points over generated sources (`None` for
-    /// trace replays).
-    #[must_use]
-    pub fn spec(&self) -> Option<&WorkloadSpec> {
-        self.source.spec()
-    }
-
     /// The canonical identity of this point: a JSON rendering of everything
     /// that affects its result. Hashed for the store key; field order is
     /// fixed, so the text (and hence the key) is stable.
@@ -147,9 +140,17 @@ impl Point {
     /// faithful run of its identity; a damaged trace cannot be.
     #[must_use]
     pub fn execute(&self) -> SimStats {
+        self.execute_profiled().0
+    }
+
+    /// [`execute`](Point::execute), also returning the run's per-stage
+    /// wall-clock profile (all zeros unless [`StageProfile::ENABLED`]).
+    /// Panics as `execute` does.
+    #[must_use]
+    pub fn execute_profiled(&self) -> (SimStats, StageProfile) {
         let mut sim = Simulator::new(&self.machine, &self.scheme);
         sim.set_benchmark(self.benchmark());
-        match &self.source {
+        let stats = match &self.source {
             WorkloadSource::Spec(spec) => {
                 if self.machine.wrong_path {
                     let mut program = diq_workload::TraceGenerator::new(spec);
@@ -177,7 +178,8 @@ impl Point {
                 }
                 stats
             }
-        }
+        };
+        (stats, sim.take_stage_profile())
     }
 }
 

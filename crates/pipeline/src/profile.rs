@@ -76,14 +76,6 @@ impl StageProfile {
     pub fn named_shares(&self) -> impl Iterator<Item = (&'static str, f64)> {
         stage::NAMES.into_iter().zip(self.shares())
     }
-
-    /// Folds another profile into this one.
-    pub fn merge(&mut self, other: &StageProfile) {
-        for (a, b) in self.ticks.iter_mut().zip(other.ticks) {
-            *a += b;
-        }
-        self.cycles += other.cycles;
-    }
 }
 
 #[cfg(feature = "profile")]
@@ -153,20 +145,5 @@ mod tests {
         let p = StageProfile::default();
         assert_eq!(p.shares(), [0.0; 6]);
         assert_eq!(p.total(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = StageProfile {
-            ticks: [1; 6],
-            cycles: 2,
-        };
-        let b = StageProfile {
-            ticks: [3; 6],
-            cycles: 4,
-        };
-        a.merge(&b);
-        assert_eq!(a.ticks, [4; 6]);
-        assert_eq!(a.cycles, 6);
     }
 }

@@ -293,4 +293,16 @@ mod tests {
         let err = read_frame::<ToServer, _>(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
+
+    #[test]
+    fn deeply_nested_frames_are_rejected_without_crashing() {
+        // Well under the frame cap, yet deep enough to overflow the stack
+        // of a parser that recursed without a limit.
+        let payload = vec![b'['; 1 << 20];
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        let err = read_frame::<ToServer, _>(&mut frame.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
 }

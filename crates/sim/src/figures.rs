@@ -592,27 +592,34 @@ pub fn headline(harness: &Harness) -> Figure {
     fig
 }
 
+/// A figure constructor, as listed in [`ALL`].
+pub type Constructor = fn(&Harness) -> Figure;
+
+/// Every paper artifact, in paper order: the id `diq figure <id>` takes and
+/// its constructor. The one list of figure ids.
+pub const ALL: [(&str, Constructor); 16] = [
+    ("tab1", table1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig6", fig6),
+    ("sec3", section3_claims),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("headline", headline),
+];
+
 /// Every artifact, in paper order (convenient for a full reproduction run).
 #[must_use]
 pub fn all(harness: &Harness) -> Vec<Figure> {
-    vec![
-        table1(harness),
-        fig2(harness),
-        fig3(harness),
-        fig4(harness),
-        fig6(harness),
-        section3_claims(harness),
-        fig7(harness),
-        fig8(harness),
-        fig9(harness),
-        fig10(harness),
-        fig11(harness),
-        fig12(harness),
-        fig13(harness),
-        fig14(harness),
-        fig15(harness),
-        headline(harness),
-    ]
+    ALL.iter().map(|(_, build)| build(harness)).collect()
 }
 
 #[cfg(test)]

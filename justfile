@@ -120,14 +120,15 @@ bench-replay bench="misschase":
 bench-adaptive:
     cargo run --release --example adaptive_geometry
 
-# One fast end-to-end pass over the bench targets' machinery: compile all
-# 19 bench executables (18 figure/claim targets and the Criterion
-# `micro_schedulers`) and run the two headline ones at a tiny budget.
-# Simulator throughput is `diq bench`, not a bench target.
+# One fast end-to-end pass: compile the 3 bench executables (the Criterion
+# `micro_schedulers` and two ablations) and regenerate the two headline
+# paper artifacts at a tiny budget. Simulator throughput is perfbench
+# (`python3 perfbench/run.py`), not a bench target.
 bench-smoke:
     cargo bench --no-run --workspace
-    DIQ_INSTRS=2000 cargo bench -p diq-bench --bench tab1_config
-    DIQ_INSTRS=2000 cargo bench -p diq-bench --bench headline_claims
+    cargo build --release
+    DIQ_INSTRS=2000 ./target/release/diq figure tab1
+    DIQ_INSTRS=2000 ./target/release/diq figure headline
 
 # Remove build output.
 clean:

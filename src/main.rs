@@ -5,11 +5,10 @@
 //! diq list                          benchmarks and schemes
 //! diq run <scheme> <workload> [n]   one simulation, full statistics
 //! diq trace record|info|ingest      record, inspect, ingest .diqt traces
-//! diq figure <id>                   regenerate one paper artifact (fig2..fig15,
-//!                                   tab1, sec3, headline)
+//! diq figure <id>                   regenerate one paper artifact (ids in
+//!                                   diq_sim::figures::ALL)
 //! diq figures                       regenerate everything
 //! diq sweep <spec.json>             run an experiment grid, resumably
-//! diq bench <spec.json>             simulator-throughput run over a grid
 //! diq compare <run-a> <run-b>       per-point deltas + regression gate
 //! diq export <run>                  write a BENCH_<run>.json summary
 //! diq serve                         sweep-as-a-service server
@@ -18,39 +17,15 @@
 //! ```
 
 use diq::cli::{parse_count, scheme_by_name, SCHEME_LABELS};
-use diq::exp::{
-    sweep_as, Comparison, ExperimentSpec, Point, ResultStore, RunSummary, ThroughputPoint,
-    ThroughputProbe, ThroughputSummary,
-};
+use diq::exp::{sweep_as, Comparison, ExperimentSpec, Point, ResultStore, RunSummary};
+use diq::pipeline::StageProfile;
 use diq::serve::{run_worker, Client, ServeConfig, WorkerOptions};
-use diq::sim::{figures, Figure, Harness};
+use diq::sim::{figures, Harness};
 use diq::workload::{suite, trace, TraceGenerator, WorkloadSource};
 use std::time::Duration;
 
 /// Default `diq serve` endpoint, shared by server, worker and submit.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7457";
-
-fn figure_by_id(id: &str, h: &Harness) -> Option<Figure> {
-    Some(match id {
-        "tab1" => figures::table1(h),
-        "fig2" => figures::fig2(h),
-        "fig3" => figures::fig3(h),
-        "fig4" => figures::fig4(h),
-        "fig6" => figures::fig6(h),
-        "sec3" => figures::section3_claims(h),
-        "fig7" => figures::fig7(h),
-        "fig8" => figures::fig8(h),
-        "fig9" => figures::fig9(h),
-        "fig10" => figures::fig10(h),
-        "fig11" => figures::fig11(h),
-        "fig12" => figures::fig12(h),
-        "fig13" => figures::fig13(h),
-        "fig14" => figures::fig14(h),
-        "fig15" => figures::fig15(h),
-        "headline" => figures::headline(h),
-        _ => return None,
-    })
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -63,8 +38,6 @@ fn usage() -> ! {
          diq figure <id>\n  \
          diq figures\n  \
          diq sweep <spec.json> [--store DIR] [--threads N] [--name RUN] [--summary-json FILE|-]\n  \
-         diq bench <spec.json> [--name RUN] [--out DIR] [--e2e-bin BIN]\n  \
-         \x20         [--baseline FILE] [--min-ratio X]\n  \
          diq compare <run-a> <run-b> [--store DIR] [--threshold PCT]\n  \
          diq export <run> [--store DIR] [--out FILE]\n  \
          diq serve [--addr HOST:PORT] [--store DIR] [--lease SECS]\n  \
@@ -81,11 +54,6 @@ fn usage() -> ! {
          ./results; `diq compare` exits 1 when run-b's geomean IPC regresses\n\
          more than the threshold (default 2%) against run-a. Either compare\n\
          side may be a stored run name or a path to an exported BENCH_*.json.\n\
-         `diq bench` measures simulated instrs/sec per grid point (event vs\n\
-         scan on two threads; per-stage wall-clock shares when built with\n\
-         --features profile), writes BENCH_<run>.json to --out (default .),\n\
-         and exits 1 when the geomean end-to-end instrs/sec ratio against a\n\
-         --baseline BENCH_*.json falls below --min-ratio (default 1.0).\n\
          `diq serve` keeps the sweep machinery resident: submitted specs are\n\
          deduped against the store and against points other jobs are already\n\
          computing, points go to idle workers under leases (crashed workers'\n\
@@ -150,8 +118,14 @@ fn cmd_run(args: &[String]) {
     // One execution path with the harness and `diq sweep`: a Point streams
     // its workload, so memory stays O(1) in the instruction count.
     let cfg = diq::isa::ProcessorConfig::hpca2004();
-    let stats = Point::from_source(cfg, scheme, source, n).execute();
+    let (stats, profile) = Point::from_source(cfg, scheme, source, n).execute_profiled();
     println!("{stats}");
+    if StageProfile::ENABLED {
+        eprintln!("stage profile (share of sampled wall-clock ticks):");
+        for (stage, share) in profile.named_shares() {
+            eprintln!("  {stage:16} {:5.1}%", 100.0 * share);
+        }
+    }
     println!("energy breakdown:");
     for (c, pj) in stats.energy.breakdown() {
         println!(
@@ -219,151 +193,6 @@ fn cmd_sweep(args: &[String]) {
             }
         }
     }
-}
-
-fn cmd_bench(args: &[String]) {
-    let (positional, flags) =
-        parse_flags(args, &["name", "out", "e2e-bin", "baseline", "min-ratio"]);
-    let [spec_path] = positional.as_slice() else {
-        usage();
-    };
-    let json = std::fs::read_to_string(spec_path)
-        .unwrap_or_else(|e| fail(format!("read `{spec_path}`: {e}")));
-    let spec =
-        ExperimentSpec::from_json(&json).unwrap_or_else(|e| fail(format!("`{spec_path}`: {e}")));
-    let run_name = flags
-        .get("name")
-        .cloned()
-        .unwrap_or_else(|| spec.name.clone());
-    // End-to-end points run `<bin> run <scheme> <bench> <n>` as a
-    // subprocess; default to this very binary. A plain-release binary can
-    // be substituted when this one carries profiling instrumentation.
-    let e2e_bin = flags.get("e2e-bin").cloned().unwrap_or_else(|| {
-        std::env::current_exe()
-            .unwrap_or_else(|e| fail(format!("locate own binary: {e}")))
-            .display()
-            .to_string()
-    });
-    let min_ratio: f64 = match flags.get("min-ratio") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|r: &f64| r.is_finite() && *r > 0.0)
-            .unwrap_or_else(|| fail(format!("bad ratio `{s}`"))),
-        None => 1.0,
-    };
-
-    let grid = spec.expand().unwrap_or_else(|e| fail(e));
-    let mut points = Vec::new();
-    for point in &grid {
-        // The probe times the generator pipeline; trace-replay points have
-        // no generator to time, so they are skipped here.
-        let Some(workload) = point.spec() else {
-            eprintln!(
-                "  skipping {} (trace replay, not a generator)",
-                point.source
-            );
-            continue;
-        };
-        let mut probe = ThroughputProbe::new(&point.machine, &point.scheme, workload)
-            .instructions(point.instructions);
-        // `diq run` only drives the stock machine, so end-to-end timing is
-        // meaningful (and measured) only on stock grid points.
-        if point.machine_label == "table1" {
-            probe = probe.e2e_bin(&e2e_bin);
-        }
-        let p = probe.measure().unwrap_or_else(|e| fail(e));
-        print!(
-            "  {:10} {:8} @ {:14} {:>9} instrs: {:>9.0} i/s event, {:>9.0} i/s scan",
-            p.scheme, p.benchmark, point.machine_label, p.instructions, p.event_ips, p.scan_ips
-        );
-        if let Some(e2e) = p.self_e2e_ips {
-            print!(", {e2e:>9.0} i/s e2e");
-        }
-        if let Some(shares) = &p.stage_shares {
-            let top = shares
-                .iter()
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("six stages");
-            print!(", top stage {} {:.0}%", top.0, top.1 * 100.0);
-        }
-        println!();
-        points.push(p);
-    }
-
-    let summary = ThroughputSummary::from_points(
-        run_name,
-        Some(format!(
-            "`diq bench {spec_path}`: simulated instrs/sec, event vs scan wakeup{}",
-            if diq::pipeline::StageProfile::ENABLED {
-                ", with per-stage wall-clock shares"
-            } else {
-                ""
-            }
-        )),
-        points,
-    );
-    let out = flags.get("out").map_or(".", String::as_str);
-    let path = summary
-        .write_to_store(out)
-        .unwrap_or_else(|e| fail(format!("write summary: {e}")));
-    println!(
-        "bench `{}`: {} points, geomean {:.0} i/s event ({:.2}x vs scan) -> {}",
-        summary.run,
-        summary.points.len(),
-        summary.geomean_event_ips.unwrap_or(0.0),
-        summary.geomean_speedup.unwrap_or(0.0),
-        path.display(),
-    );
-
-    if let Some(baseline_path) = flags.get("baseline") {
-        let json = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| fail(format!("read `{baseline_path}`: {e}")));
-        let baseline = ThroughputSummary::from_json(&json)
-            .unwrap_or_else(|e| fail(format!("`{baseline_path}`: {e}")));
-        match bench_gate_ratio(&summary, &baseline) {
-            Some((ratio, matched)) => {
-                println!(
-                    "geomean e2e instrs/sec ratio vs `{}`: {ratio:.3}x over {matched} matched \
-                     points (gate: >= {min_ratio:.2}x)",
-                    baseline.run
-                );
-                if ratio < min_ratio {
-                    println!("BENCH REGRESSION: ratio {ratio:.3}x below gate {min_ratio:.2}x");
-                    std::process::exit(1);
-                }
-            }
-            None => fail(format!(
-                "no matched end-to-end points between this run and `{baseline_path}`"
-            )),
-        }
-    }
-}
-
-/// Geomean over matched (scheme, benchmark, instructions) points of this
-/// run's end-to-end instrs/sec over the baseline's. Returns the ratio and
-/// the matched-point count; `None` when nothing matches.
-fn bench_gate_ratio(
-    current: &ThroughputSummary,
-    baseline: &ThroughputSummary,
-) -> Option<(f64, usize)> {
-    let e2e = |p: &ThroughputPoint| p.self_e2e_ips;
-    let ratios: Vec<f64> = current
-        .points
-        .iter()
-        .filter_map(|p| {
-            let own = e2e(p)?;
-            let base = baseline.points.iter().find_map(|b| {
-                (b.scheme == p.scheme
-                    && b.benchmark == p.benchmark
-                    && b.instructions == p.instructions)
-                    .then(|| e2e(b))?
-            })?;
-            Some(own / base)
-        })
-        .collect();
-    let n = ratios.len();
-    diq::stats::geometric_mean(ratios).map(|g| (g, n))
 }
 
 /// `diq trace record|info|ingest` — the on-disk `.diqt` trace pipeline.
@@ -830,16 +659,11 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("figure") => {
             let [_, id] = args.as_slice() else { usage() };
-            let h = Harness::new();
-            match figure_by_id(id, &h) {
-                Some(fig) => println!("{fig}"),
-                None => {
-                    eprintln!(
-                        "unknown figure `{id}` (tab1, fig2-fig4, fig6-fig15, sec3, headline)"
-                    );
-                    std::process::exit(1);
-                }
-            }
+            let Some(&(_, build)) = figures::ALL.iter().find(|(known, _)| known == id) else {
+                let ids: Vec<&str> = figures::ALL.iter().map(|(known, _)| *known).collect();
+                fail(format!("unknown figure `{id}` ({})", ids.join(", ")));
+            };
+            println!("{}", build(&Harness::new()));
         }
         Some("figures") => {
             if args.len() > 1 {
@@ -852,7 +676,6 @@ fn main() {
         }
         Some("trace") => cmd_trace(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),

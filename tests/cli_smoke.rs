@@ -225,3 +225,35 @@ fn diq_figure_rejects_extra_arguments() {
 fn diq_figures_rejects_extra_arguments() {
     assert_rejected_as_usage(&["figures", "sec3"]);
 }
+
+#[test]
+fn diq_bench_is_an_unknown_subcommand() {
+    assert_rejected_as_usage(&["bench", "experiments/ci_smoke.json"]);
+}
+
+/// `diq figure` reads the one figure table: every id in it builds, and an
+/// unknown id is answered with exactly that table's ids.
+#[test]
+fn diq_figure_accepts_every_table_id_and_lists_them_on_a_miss() {
+    let figure = |id: &str| {
+        Command::new(env!("CARGO_BIN_EXE_diq"))
+            .args(["figure", id])
+            .env("DIQ_INSTRS", "100")
+            .output()
+            .expect("run `diq figure`")
+    };
+    for (id, _) in diq::sim::figures::ALL {
+        let out = figure(id);
+        assert!(out.status.success(), "`diq figure {id}` failed: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(id), "`diq figure {id}` printed {stdout}");
+    }
+    let out = figure("fig5");
+    assert_eq!(out.status.code(), Some(1), "unknown figure exit code");
+    let ids: Vec<&str> = diq::sim::figures::ALL.iter().map(|(id, _)| *id).collect();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown figure `fig5` ({})", ids.join(", "))),
+        "{stderr}"
+    );
+}

@@ -13,7 +13,8 @@ fn all_sixteen_artifacts_build() {
     let h = harness();
     let figs = figures::all(&h);
     assert_eq!(figs.len(), 16);
-    for f in &figs {
+    for (f, (id, _)) in figs.iter().zip(figures::ALL) {
+        assert_eq!(f.id, id, "the table's id names the figure it builds");
         assert!(!f.rows.is_empty(), "{} is empty", f.id);
         // Every artifact renders and serializes.
         assert!(f.to_string().contains(&f.id));
