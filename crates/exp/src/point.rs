@@ -88,6 +88,10 @@ impl Point {
     /// that affects its result. Hashed for the store key; field order is
     /// fixed, so the text (and hence the key) is stable.
     ///
+    /// The text is a fixed frame around three component renders:
+    /// `{"scheme":S,"workload":W,"instructions":N,"machine":M}`, each of
+    /// `S`, `W` and `M` the compact JSON of that component alone.
+    ///
     /// Generated sources render exactly as the spec itself (byte-identical
     /// to the pre-`WorkloadSource` format, so existing stores stay warm).
     /// Trace sources render as `{"trace": {...}}` over the fields that
@@ -96,32 +100,47 @@ impl Point {
     /// and two different traces under one name cannot collide.
     #[must_use]
     pub fn identity_json(&self) -> String {
-        let workload = match &self.source {
-            WorkloadSource::Spec(spec) => spec.to_value(),
-            WorkloadSource::Trace(t) => Value::Map(vec![(
-                "trace".into(),
-                Value::Map(vec![
-                    ("name".into(), t.name.to_value()),
-                    ("content".into(), t.content.to_value()),
-                    ("instructions".into(), t.instructions.to_value()),
-                    ("seed".into(), t.seed.to_value()),
-                ]),
-            )]),
-        };
-        let v = Value::Map(vec![
-            ("scheme".into(), self.scheme.to_value()),
-            ("workload".into(), workload),
-            ("instructions".into(), self.instructions.to_value()),
-            ("machine".into(), self.machine.to_value()),
-        ]);
-        serde_json::to_string(&v).expect("identity serializes")
+        let parts = self.identity_parts();
+        let mut text = String::new();
+        parts.pieces(self.instructions, |piece| text.push_str(piece));
+        text
     }
 
     /// The content-addressed store key: 16 hex digits of FNV-1a over
     /// [`identity_json`](Point::identity_json).
     #[must_use]
     pub fn key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.identity_json().as_bytes()))
+        self.identity_parts().key(self.instructions)
+    }
+
+    /// The store keys of a batch of points, in order: `keys(points)[i] ==
+    /// points[i].key()`. Each distinct scheme, workload and machine of the
+    /// batch is rendered once (a grid has few of each), and every key
+    /// hashes the identity pieces in order without building the text.
+    #[must_use]
+    pub fn keys(points: &[Point]) -> Vec<String> {
+        let mut schemes = Renders { seen: Vec::new() };
+        let mut workloads = Renders { seen: Vec::new() };
+        let mut machines = Renders { seen: Vec::new() };
+        points
+            .iter()
+            .map(|p| {
+                IdentityParts {
+                    scheme: schemes.get(&p.scheme, render_scheme),
+                    workload: workloads.get(&p.source, render_workload),
+                    machine: machines.get(&p.machine, render_machine),
+                }
+                .key(p.instructions)
+            })
+            .collect()
+    }
+
+    fn identity_parts(&self) -> IdentityParts<String> {
+        IdentityParts {
+            scheme: render_scheme(&self.scheme),
+            workload: render_workload(&self.source),
+            machine: render_machine(&self.machine),
+        }
     }
 
     /// Runs the simulation for this point. Streaming: generated sources
@@ -180,6 +199,82 @@ impl Point {
             }
         };
         (stats, sim.take_stage_profile())
+    }
+}
+
+/// The three component renders of a point identity.
+struct IdentityParts<S> {
+    scheme: S,
+    workload: S,
+    machine: S,
+}
+
+impl<S: AsRef<str>> IdentityParts<S> {
+    /// Feeds the identity text to `sink` piece by piece, in text order:
+    /// the fixed frame with the component renders and the instruction
+    /// count in their slots.
+    fn pieces(&self, instructions: u64, mut sink: impl FnMut(&str)) {
+        sink("{\"scheme\":");
+        sink(self.scheme.as_ref());
+        sink(",\"workload\":");
+        sink(self.workload.as_ref());
+        sink(",\"instructions\":");
+        sink(&instructions.to_string());
+        sink(",\"machine\":");
+        sink(self.machine.as_ref());
+        sink("}");
+    }
+
+    /// FNV-1a over the identity text, chained through its pieces.
+    fn key(&self, instructions: u64) -> String {
+        let mut h = trace::FNV_OFFSET;
+        self.pieces(instructions, |piece| {
+            h = trace::fnv1a64(h, piece.as_bytes())
+        });
+        format!("{h:016x}")
+    }
+}
+
+fn render_scheme(scheme: &SchedulerConfig) -> String {
+    serde_json::to_string(scheme).expect("identity serializes")
+}
+
+fn render_workload(source: &WorkloadSource) -> String {
+    match source {
+        WorkloadSource::Spec(spec) => serde_json::to_string(spec),
+        WorkloadSource::Trace(t) => serde_json::to_string(&Value::Map(vec![(
+            "trace".into(),
+            Value::Map(vec![
+                ("name".into(), t.name.to_value()),
+                ("content".into(), t.content.to_value()),
+                ("instructions".into(), t.instructions.to_value()),
+                ("seed".into(), t.seed.to_value()),
+            ]),
+        )])),
+    }
+    .expect("identity serializes")
+}
+
+fn render_machine(machine: &ProcessorConfig) -> String {
+    serde_json::to_string(machine).expect("identity serializes")
+}
+
+/// One component's renders over a batch, each distinct value (by
+/// `PartialEq`) rendered once.
+struct Renders<'a, T> {
+    seen: Vec<(&'a T, String)>,
+}
+
+impl<'a, T: PartialEq> Renders<'a, T> {
+    fn get(&mut self, value: &'a T, render: fn(&T) -> String) -> &str {
+        let i = match self.seen.iter().position(|(v, _)| *v == value) {
+            Some(i) => i,
+            None => {
+                self.seen.push((value, render(value)));
+                self.seen.len() - 1
+            }
+        };
+        &self.seen[i].1
     }
 }
 

@@ -4,6 +4,7 @@ use crate::store::{ManifestEntry, PointRecord, ResultStore, RunManifest};
 use crate::{ExpError, ExperimentSpec, Point, PointResult};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `jobs` independent tasks on up to `threads` workers and returns
@@ -160,19 +161,18 @@ pub fn sweep_as(
     // becomes a file name under runs/ — hold it to the same alphabet.
     crate::spec::validate_run_name(&run_name)?;
     let points = spec.expand()?;
-    let keys: Vec<String> = points.iter().map(Point::key).collect();
-    let index = store.load()?;
+    let keys = Point::keys(&points);
+    let mut index = store.load()?;
 
     // A spec can name the same point twice (e.g. a workload listed both by
     // name and via its group); simulate each distinct key once.
-    let mut claimed = std::collections::HashSet::new();
+    let mut claimed = HashSet::new();
     let missing: Vec<usize> = (0..points.len())
         .filter(|&i| !index.contains_key(&keys[i]) && claimed.insert(keys[i].as_str()))
         .collect();
     // Simulate in grid-order chunks, appending after each: an interrupted
     // sweep persists every completed chunk (resume skips it), while the
     // store's bytes stay independent of thread count and chunk size.
-    let mut computed_records: Vec<PointRecord> = Vec::with_capacity(missing.len());
     for chunk in missing.chunks(threads.max(1) * 4) {
         let results = run_indexed(chunk.len(), threads, |j| {
             let point = &points[chunk[j]];
@@ -187,32 +187,31 @@ pub fn sweep_as(
             })
             .collect();
         store.append(&records)?;
-        computed_records.extend(records);
+        index.extend(records.into_iter().map(|r| (r.key.clone(), r)));
     }
 
-    let new_index: std::collections::HashMap<&str, &PointRecord> = computed_records
-        .iter()
-        .map(|r| (r.key.as_str(), r))
-        .collect();
-    let fresh: Vec<bool> = keys
-        .iter()
-        .map(|k| new_index.contains_key(k.as_str()))
-        .collect();
-    let records: Vec<PointRecord> = points
-        .iter()
-        .zip(&keys)
-        .map(|(point, k)| {
-            let mut rec = new_index
-                .get(k.as_str())
-                .map(|r| (*r).clone())
-                .or_else(|| index.get(k).cloned())
-                .expect("every key is stored or freshly computed");
-            // The stored record carries the machine label of whichever spec
-            // computed it first; this run's view uses its own label.
-            rec.result.machine.clone_from(&point.machine_label);
-            rec
-        })
-        .collect();
+    // `claimed` holds exactly the keys this invocation simulated.
+    let fresh: Vec<bool> = keys.iter().map(|k| claimed.contains(k.as_str())).collect();
+    // Each record moves out of the index into the run; only a key the spec
+    // names again is cloned, from the record its first occurrence took.
+    let mut first_at: HashMap<&str, usize> = HashMap::new();
+    let mut records: Vec<PointRecord> = Vec::with_capacity(points.len());
+    for (point, k) in points.iter().zip(&keys) {
+        let mut rec = match index.remove(k) {
+            Some(rec) => {
+                first_at.insert(k.as_str(), records.len());
+                rec
+            }
+            None => {
+                let first = first_at.get(k.as_str());
+                records[*first.expect("every key is stored or freshly computed")].clone()
+            }
+        };
+        // The stored record carries the machine label of whichever spec
+        // computed it first; this run's view uses its own label.
+        rec.result.machine.clone_from(&point.machine_label);
+        records.push(rec);
+    }
 
     let manifest = RunManifest {
         name: run_name.clone(),

@@ -93,8 +93,9 @@ impl ResultStore {
     ///
     /// A *final* line with no trailing newline that fails to parse is the
     /// signature of a write torn by a kill mid-sweep; it is skipped (the
-    /// point recomputes) rather than poisoning the store. Corruption
-    /// anywhere else is still an error.
+    /// point recomputes) rather than poisoning the store, whatever bytes it
+    /// holds — a tear can split a multi-byte character. Corruption anywhere
+    /// else, invalid UTF-8 included, is still an error.
     ///
     /// # Errors
     ///
@@ -103,27 +104,39 @@ impl ResultStore {
     pub fn load(&self) -> io::Result<HashMap<String, PointRecord>> {
         let path = self.store_file();
         let mut index = HashMap::new();
-        if !path.exists() {
-            return Ok(index);
-        }
-        let text = fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(index),
+            Err(e) => return Err(e),
+        };
+        let corrupt = |line: usize, e: &dyn std::fmt::Display| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}:{line}: {e}", path.display()),
+            )
+        };
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        let (body, tail) = bytes.split_at(complete);
+        let text = std::str::from_utf8(body).map_err(|e| {
+            let line = body[..e.valid_up_to()]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            corrupt(line + 1, &e)
+        })?;
+        for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<PointRecord>(line) {
-                Ok(rec) => {
-                    index.insert(rec.key.clone(), rec);
-                }
-                Err(_) if i + 1 == lines.len() && !text.ends_with('\n') => {}
-                Err(e) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}:{}: {e}", path.display(), i + 1),
-                    ));
-                }
-            }
+            let rec: PointRecord = serde_json::from_str(line).map_err(|e| corrupt(i + 1, &e))?;
+            index.insert(rec.key.clone(), rec);
+        }
+        // The unterminated tail is kept only when it is a whole record.
+        if let Some(rec) = std::str::from_utf8(tail)
+            .ok()
+            .and_then(|line| serde_json::from_str::<PointRecord>(line).ok())
+        {
+            index.insert(rec.key.clone(), rec);
         }
         Ok(index)
     }

@@ -510,7 +510,7 @@ fn handle_submit(
     let run = run_name.map_or_else(|| spec.name.clone(), str::to_string);
     validate_run_name(&run)?;
     let points = spec.expand()?;
-    let keys: Vec<String> = points.iter().map(Point::key).collect();
+    let keys = Point::keys(&points);
 
     let manifest = RunManifest {
         name: run.clone(),

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! * Each block encodes [`BLOCK_INSTRS`] instructions (the last may be
-//!   short) as delta/varint records ([`encode`]) compressed with the
-//!   vendored [`lzblock`] codec. Delta state resets at block boundaries, so
+//!   short) as delta/varint records compressed with the vendored
+//!   [`lzblock`] codec. Delta state resets at block boundaries, so
 //!   any block decodes independently — that is what makes checkpoint/
 //!   restore by (block, offset) possible.
 //! * `checksum` is FNV-1a over the *raw* (encoded, uncompressed) block
@@ -27,7 +27,7 @@
 //!   trace length.
 //!
 //! [`TraceWriter`] records, [`TraceReader`] streams in O(1) memory, and
-//! [`ingest`] converts a simple external text/CSV schema into `.diqt`.
+//! [`ingest_text`] converts a simple external text/CSV schema into `.diqt`.
 
 mod encode;
 mod ingest;

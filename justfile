@@ -22,6 +22,7 @@ ci: verify
     cargo test -q --workspace
     cargo fmt --all --check
     cargo clippy --all-targets --workspace -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     cargo bench --no-run --workspace
 
 # Regenerate every paper artifact (DIQ_INSTRS trades time for fidelity;

@@ -17,11 +17,14 @@
 //! ```
 
 use diq::cli::{parse_count, scheme_by_name, SCHEME_LABELS};
-use diq::exp::{sweep_as, Comparison, ExperimentSpec, Point, ResultStore, RunSummary};
+use diq::exp::{
+    sweep_as, Comparison, ExperimentSpec, Point, ResultStore, RunSummary, SweepOutcome,
+};
 use diq::pipeline::StageProfile;
 use diq::serve::{run_worker, Client, ServeConfig, WorkerOptions};
 use diq::sim::{figures, Harness};
 use diq::workload::{suite, trace, TraceGenerator, WorkloadSource};
+use std::io::Write;
 use std::time::Duration;
 
 /// Default `diq serve` endpoint, shared by server, worker and submit.
@@ -111,7 +114,9 @@ fn cmd_run(args: &[String]) {
     // URI (kernel:, profile:, trace:, or a bare name) runs here.
     let source = WorkloadSource::resolve_one(workload_uri).unwrap_or_else(|e| fail(e));
     let n: u64 = match rest.first() {
+        // Zero is rejected as `diq sweep` rejects it: a run must simulate.
         Some(s) => parse_count(s)
+            .filter(|&n| n > 0)
             .unwrap_or_else(|| fail(format!("bad instruction count `{s}` (try 250000 or 100k)"))),
         None => diq::exp::DEFAULT_INSTRUCTIONS,
     };
@@ -160,9 +165,38 @@ fn cmd_sweep(args: &[String]) {
     };
     let store = open_store(&flags);
     let outcome = sweep_as(&spec, run_name, &store, threads).unwrap_or_else(|e| fail(e));
+    let summary_json = flags.get("summary-json");
+    // One buffered writer for the whole report: a grid's lines leave in a
+    // few writes instead of one each.
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    write_sweep_report(
+        &mut out,
+        &outcome,
+        &store,
+        summary_json.is_some_and(|p| p == "-"),
+    )
+    .and_then(|()| out.flush())
+    .unwrap_or_else(|e| fail(format!("write stdout: {e}")));
+    // Machine-readable counters: CI asserts on parsed fields, not on the
+    // human report (which may change shape as grids grow).
+    if let Some(path) = summary_json.filter(|p| *p != "-") {
+        std::fs::write(path, outcome.summary(&store).to_json())
+            .unwrap_or_else(|e| fail(format!("write `{path}`: {e}")));
+    }
+}
+
+/// `diq sweep`'s stdout: one line per grid point, the totals, and the
+/// summary JSON when it goes to stdout (`--summary-json -`).
+fn write_sweep_report(
+    out: &mut impl Write,
+    outcome: &SweepOutcome,
+    store: &ResultStore,
+    summary_json: bool,
+) -> std::io::Result<()> {
     for (rec, fresh) in outcome.records.iter().zip(&outcome.fresh) {
         let r = &rec.result;
-        println!(
+        writeln!(
+            out,
             "  [{}] {} on {} @ {} ({} instrs): IPC {:.3}, energy {:.1} nJ",
             if *fresh { "computed" } else { "cached" },
             r.scheme,
@@ -171,9 +205,10 @@ fn cmd_sweep(args: &[String]) {
             r.instructions,
             r.ipc,
             r.energy_pj / 1e3,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "sweep `{}`: {} points, {} computed, {} cached ({:.1}% cache hits), store {}",
         outcome.run,
         outcome.total(),
@@ -181,18 +216,11 @@ fn cmd_sweep(args: &[String]) {
         outcome.cached,
         outcome.cache_hit_pct(),
         store.root().display(),
-    );
-    // Machine-readable counters: CI asserts on parsed fields, not on the
-    // human lines above (which may change shape as grids grow).
-    if let Some(path) = flags.get("summary-json") {
-        let json = outcome.summary(&store).to_json();
-        match path.as_str() {
-            "-" => print!("{json}"),
-            path => {
-                std::fs::write(path, &json).unwrap_or_else(|e| fail(format!("write `{path}`: {e}")))
-            }
-        }
+    )?;
+    if summary_json {
+        out.write_all(outcome.summary(store).to_json().as_bytes())?;
     }
+    Ok(())
 }
 
 /// `diq trace record|info|ingest` — the on-disk `.diqt` trace pipeline.

@@ -150,6 +150,25 @@ fn diq_run_resolves_workload_uris() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
+/// A zero count would simulate nothing and report an IPC of 0; `diq run`
+/// refuses it as it refuses any other bad count, as `diq sweep` does.
+#[test]
+fn diq_run_rejects_a_zero_instruction_count() {
+    for count in ["0", "0k"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+            .args(["run", "MB_distr", "kernel:gzip", count])
+            .output()
+            .expect("run `diq run`");
+        assert_eq!(out.status.code(), Some(1), "`diq run … {count}`: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad instruction count `{count}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "`diq run … {count}` simulated");
+    }
+}
+
 /// `diq run … | head -1`: a reader that goes away must end `diq` quietly,
 /// not with a `println!` panic and a backtrace. Two shapes: the read end
 /// closed before anything is written (every write fails, so this one
@@ -191,6 +210,39 @@ fn closed_stdout_ends_quietly() {
         );
         assert_ne!(out.status.code(), Some(101), "{shape}: panic exit status");
     }
+}
+
+/// `diq sweep … | head`: the per-point report goes through one buffered
+/// writer, and a reader that is already gone must still end the sweep
+/// without a panic.
+#[test]
+fn closed_stdout_ends_a_sweep_quietly() {
+    let dir = std::env::temp_dir().join(format!("diq-cli-sweep-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"name":"pipe","instructions":[200],"schemes":["MB_distr","IQ_64_64"],"workloads":["gzip"]}"#,
+    )
+    .expect("write spec");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .arg("sweep")
+        .arg(&spec)
+        .arg("--store")
+        .arg(dir.join("store"))
+        .stdout(writer)
+        .output()
+        .expect("run `diq sweep`");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "`diq sweep` panicked: {stderr}"
+    );
+    assert_ne!(out.status.code(), Some(101), "panic exit status");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Runs `diq` with `args` and asserts it exits 2 with the usage text and
