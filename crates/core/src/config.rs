@@ -215,8 +215,8 @@ impl SchedulerConfig {
 
     /// MixBUFF with the selection-priority heuristic disabled: each queue
     /// picks the *oldest* selectable instruction instead of preferring
-    /// freshly-ready ones. Used by the `ablation_priority` bench to measure
-    /// what the paper's heuristic is worth.
+    /// freshly-ready ones. `diq figure ablation_priority` uses it to
+    /// measure what the paper's heuristic is worth.
     #[must_use]
     pub fn mb_distr_age_only() -> Self {
         SchedulerConfig::MixBuff {

@@ -41,14 +41,12 @@
 #![deny(missing_docs)]
 
 mod compare;
-mod inflight;
 mod point;
 mod runner;
 mod spec;
 mod store;
 
 pub use compare::{Comparison, PointDelta, RunSummary};
-pub use inflight::InflightRegistry;
 pub use point::{fnv1a64, Point, PointResult};
 pub use runner::{run_indexed, sweep, sweep_as, SweepOutcome, SweepSummary};
 pub use spec::{

@@ -18,11 +18,12 @@
 //!
 //! Three invariants, enforced here and asserted by `tests/serve_e2e.rs`:
 //!
-//! * **At-most-once execution.** A point key is claimed in the
-//!   [`InflightRegistry`] before it is scheduled; concurrent submissions of
-//!   the same grid share the claim winner's execution. A result is accepted
-//!   only if its lease is still live, so a crashed worker's reassigned point
-//!   is recorded exactly once.
+//! * **At-most-once execution.** A point key is claimed by the first job
+//!   to subscribe to it (the job that creates its subscriber entry) before
+//!   it is scheduled; concurrent submissions of the same grid share the
+//!   claim winner's execution. A result is accepted only if its lease is
+//!   still live, so a crashed worker's reassigned point is recorded exactly
+//!   once.
 //! * **Join-the-idle-queue dispatch.** Workers announce idleness; points are
 //!   assigned only in response. The server never queues work onto a busy
 //!   worker — a slow worker holds back exactly the one point it leased,
@@ -36,11 +37,11 @@
 use crate::protocol::{read_frame, write_frame, FromServer, JobView, ToServer, PROTOCOL_VERSION};
 use crossbeam::channel::{self, Sender};
 use diq_exp::{
-    validate_run_name, ExperimentSpec, InflightRegistry, ManifestEntry, Point, PointRecord,
-    ResultStore, RunManifest, SweepSummary,
+    validate_run_name, ExperimentSpec, ManifestEntry, Point, PointRecord, ResultStore, RunManifest,
+    SweepSummary,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -111,7 +112,6 @@ struct Worker {
     name: String,
     tx: Sender<FromServer>,
     leases: HashSet<u64>,
-    alive: bool,
 }
 
 /// One submitted job.
@@ -163,7 +163,9 @@ struct State {
     /// Keys with a completed record in the store (seeded at startup,
     /// updated as results land).
     stored: HashSet<String>,
-    /// Jobs waiting on each in-flight key (owners subscribe too).
+    /// Jobs waiting on each in-flight key, claiming job first. A key has
+    /// an entry exactly while it is claimed: from the submission that
+    /// creates the entry until its result lands.
     subscribers: HashMap<String, Vec<u64>>,
     /// Socket clones for shutdown.
     conns: Vec<TcpStream>,
@@ -172,7 +174,6 @@ struct State {
 struct Shared {
     cfg: ServeConfig,
     store: ResultStore,
-    inflight: InflightRegistry,
     state: Mutex<State>,
     writer_tx: Sender<WriterCmd>,
     stop_tx: Sender<()>,
@@ -217,7 +218,6 @@ impl Server {
         let shared = Arc::new(Shared {
             cfg,
             store,
-            inflight: InflightRegistry::new(),
             state: Mutex::new(State {
                 stored,
                 ..State::default()
@@ -395,7 +395,6 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                             name: name.clone(),
                             tx,
                             leases: HashSet::new(),
-                            alive: true,
                         },
                     );
                     (wid, rx)
@@ -499,8 +498,8 @@ fn job_view(shared: &Shared, id: u64, job: &Job) -> JobView {
 }
 
 /// Decomposes a submitted spec: dedups every grid key against the store and
-/// the in-flight registry, claims the remainder, and dispatches claimed
-/// points to idle workers.
+/// the keys in flight, claims the remainder, and dispatches claimed points
+/// to idle workers.
 fn handle_submit(
     shared: &Arc<Shared>,
     spec_json: &str,
@@ -542,23 +541,23 @@ fn handle_submit(
             continue; // intra-job duplicate, or already persisted
         }
         remaining += 1;
-        state
-            .subscribers
-            .entry(key.clone())
-            .or_default()
-            .push(job_id);
-        if shared.inflight.claim(key) {
-            // This job executes the point (and writes its record).
-            owned_set.insert(key);
-            owned.push(key.clone());
-            to_dispatch.push(OwnedPoint {
-                key: key.clone(),
-                point: point.clone(),
-                job: job_id,
-            });
+        match state.subscribers.entry(key.clone()) {
+            // A peer job is computing it: subscribing is the share;
+            // nothing to schedule.
+            Entry::Occupied(mut waiters) => waiters.get_mut().push(job_id),
+            // Nobody is: this job executes the point (and writes its
+            // record).
+            Entry::Vacant(slot) => {
+                slot.insert(vec![job_id]);
+                owned_set.insert(key);
+                owned.push(key.clone());
+                to_dispatch.push(OwnedPoint {
+                    key: key.clone(),
+                    point: point.clone(),
+                    job: job_id,
+                });
+            }
         }
-        // else: a peer job is computing it — the subscription above is the
-        // share; nothing to schedule.
     }
 
     // Sweep counting semantics: every grid position whose key this job
@@ -619,16 +618,14 @@ fn redispatch(shared: &Shared, state: &mut State, owned: OwnedPoint) {
     state.pending.push_front(owned);
 }
 
-/// Leases `owned` to worker `wid` if it is alive. Caller holds the lock.
+/// Leases `owned` to worker `wid` if it is still registered. Caller holds
+/// the lock.
 fn try_assign(shared: &Shared, state: &mut State, wid: u64, owned: &OwnedPoint) -> bool {
     let lease_id = state.next_lease;
     let deadline = Instant::now() + shared.cfg.lease;
     let Some(worker) = state.workers.get_mut(&wid) else {
         return false;
     };
-    if !worker.alive {
-        return false;
-    }
     let sent = worker
         .tx
         .send(FromServer::Assign {
@@ -721,12 +718,11 @@ fn handle_result(shared: &Arc<Shared>, wid: u64, lease_id: u64, record: PointRec
     complete_key(shared, &mut state, &lease.key, lease.job, record);
 }
 
-/// Marks a key complete: releases the in-flight claim, releases the owner
-/// job's record to the writer in grid order, and advances every subscribed
-/// job (finalizing those that drain).
+/// Marks a key complete: releases the owner job's record to the writer in
+/// grid order, and releases the claim by advancing every subscribed job
+/// (finalizing those that drain).
 fn complete_key(shared: &Shared, state: &mut State, key: &str, owner: u64, record: PointRecord) {
     state.stored.insert(key.to_string());
-    shared.inflight.release(key);
 
     if let Some(job) = state.jobs.get_mut(&owner) {
         job.results.insert(key.to_string(), record);
@@ -774,17 +770,12 @@ fn finalize_job(shared: &Shared, state: &mut State, job_id: u64) {
 /// everywhere and reassign every lease it held.
 fn worker_death(shared: &Arc<Shared>, wid: u64) {
     let mut state = shared.state.lock();
-    let Some(worker) = state.workers.get_mut(&wid) else {
+    let Some(worker) = state.workers.remove(&wid) else {
         return;
     };
-    if !worker.alive {
-        return;
-    }
-    worker.alive = false;
-    let name = worker.name.clone();
-    let lease_ids: Vec<u64> = worker.leases.drain().collect();
+    let name = worker.name;
+    let lease_ids: Vec<u64> = worker.leases.into_iter().collect();
     state.idle.retain(|w| *w != wid);
-    state.workers.remove(&wid);
     if !lease_ids.is_empty() {
         shared.log(format_args!(
             "worker {wid} ({name}) lost with {} lease(s), reassigning",
@@ -883,6 +874,36 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.load().unwrap().len(), 2);
         assert_eq!(store.read_manifest("serve-unit").unwrap().points.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two submissions of one grid before any worker exists: the first
+    /// claims every key, the second subscribes to them, and one worker
+    /// then computes each point once for both jobs.
+    #[test]
+    fn concurrent_submissions_share_one_execution() {
+        let dir = tmp_dir("share");
+        let handle = test_config(dir.clone()).spawn().unwrap();
+        let addr = handle.addr().to_string();
+        let mut client = Client::connect(&addr).unwrap();
+
+        let (first, view) = client.submit(SPEC, None).unwrap();
+        assert_eq!((view.computed, view.cached), (2, 0));
+        let (second, view) = client.submit(SPEC, None).unwrap();
+        assert_eq!((view.computed, view.cached), (0, 2));
+
+        let worker = std::thread::spawn({
+            let addr = addr.clone();
+            move || run_worker(&addr, &WorkerOptions::default()).unwrap()
+        });
+        let poll = Duration::from_millis(20);
+        assert_eq!(client.watch(first, poll).unwrap().computed, 2);
+        assert_eq!(client.watch(second, poll).unwrap().cached, 2);
+        assert_eq!(handle.results_accepted(), 2, "each point executed once");
+
+        client.shutdown_server().unwrap();
+        handle.wait().unwrap();
+        assert_eq!(worker.join().unwrap().executed, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -592,12 +592,91 @@ pub fn headline(harness: &Harness) -> Figure {
     fig
 }
 
+/// Ablation — how many chains per queue does MixBUFF need? SPECfp
+/// harmonic-mean IPC of MixBUFF 8×16 as the per-queue chain budget shrinks
+/// from 16 to 1. The paper fixes `MB_distr` at 8; at 1 chain per queue,
+/// MixBUFF degenerates into a throughput-limited IssueFIFO-like structure.
+#[must_use]
+pub fn ablation_chains(harness: &Harness) -> Figure {
+    // 16 chains on 16-entry queues is Figure 6's unbounded MixBUFF: same
+    // label, so `diq figures` reuses that run.
+    const CHAINS: [usize; 5] = [1, 2, 4, 8, 16];
+    let mut schemes = vec![SchedulerConfig::unbounded_baseline()];
+    schemes.extend(
+        CHAINS
+            .iter()
+            .map(|&c| SchedulerConfig::mix_buff(16, 16, 8, 16, Some(c))),
+    );
+    let matrix = harness.run_matrix(&schemes, &suite::spec_fp());
+    let hms: Vec<f64> = matrix
+        .iter()
+        .map(|row| harmonic_mean(row.iter().map(|r| r.ipc())).expect("ipcs"))
+        .collect();
+
+    let mut fig = Figure::new(
+        "ablation_chains",
+        "MixBUFF 8x16: SPECfp IPC loss vs chains per queue",
+        vec![
+            "chains/queue".into(),
+            "HARMEAN IPC".into(),
+            "loss vs unbounded IQ".into(),
+        ],
+    );
+    for (chains, hm) in CHAINS.iter().zip(&hms[1..]) {
+        fig.row(vec![
+            format!("{chains}"),
+            format!("{hm:.2}"),
+            format!("{:.1}%", pct_loss(hms[0], *hm)),
+        ]);
+    }
+    fig.note("paper: MB_distr uses 8 chains/queue; Figure 6 assumed unbounded chains");
+    fig
+}
+
+/// Ablation — what is the paper's selection-priority heuristic worth?
+/// `MB_distr` prefers instructions whose chain finishes this cycle over
+/// ones that became ready earlier but were delayed; this compares it with
+/// the same machine selecting purely oldest-first, per SPECfp benchmark.
+#[must_use]
+pub fn ablation_priority(harness: &Harness) -> Figure {
+    let fp = suite::spec_fp();
+    let matrix = harness.run_matrix(
+        &[
+            SchedulerConfig::mb_distr(),
+            SchedulerConfig::mb_distr_age_only(),
+        ],
+        &fp,
+    );
+    let mut fig = Figure::new(
+        "ablation_priority",
+        "MB_distr selection: paper heuristic vs oldest-first (SPECfp IPC)",
+        vec![
+            "benchmark".into(),
+            "fresh-first (paper)".into(),
+            "oldest-first".into(),
+            "heuristic gain".into(),
+        ],
+    );
+    for ((bench, with), without) in fp.iter().zip(&matrix[0]).zip(&matrix[1]) {
+        let (with, without) = (with.ipc(), without.ipc());
+        fig.row(vec![
+            bench.name.clone(),
+            format!("{with:.2}"),
+            format!("{without:.2}"),
+            format!("{:+.1}%", -pct_loss(without, with)),
+        ]);
+    }
+    fig.note("paper argues the heuristic avoids wasting each queue's single selection slot on blocked instructions");
+    fig
+}
+
 /// A figure constructor, as listed in [`ALL`].
 pub type Constructor = fn(&Harness) -> Figure;
 
-/// Every paper artifact, in paper order: the id `diq figure <id>` takes and
-/// its constructor. The one list of figure ids.
-pub const ALL: [(&str, Constructor); 16] = [
+/// Every artifact: the paper's, in paper order, then the two ablations of
+/// choices the paper fixes. The id `diq figure <id>` takes and its
+/// constructor. The one list of figure ids.
+pub const ALL: [(&str, Constructor); 18] = [
     ("tab1", table1),
     ("fig2", fig2),
     ("fig3", fig3),
@@ -614,9 +693,11 @@ pub const ALL: [(&str, Constructor); 16] = [
     ("fig14", fig14),
     ("fig15", fig15),
     ("headline", headline),
+    ("ablation_chains", ablation_chains),
+    ("ablation_priority", ablation_priority),
 ];
 
-/// Every artifact, in paper order (convenient for a full reproduction run).
+/// Every artifact, in [`ALL`] order (convenient for a full reproduction run).
 #[must_use]
 pub fn all(harness: &Harness) -> Vec<Figure> {
     ALL.iter().map(|(_, build)| build(harness)).collect()

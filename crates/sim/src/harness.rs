@@ -43,14 +43,16 @@ impl Harness {
     ///
     /// # Panics
     ///
-    /// If `DIQ_INSTRS` is set but not a valid count — a typo silently
+    /// If `DIQ_INSTRS` is set but not a positive count — a typo silently
     /// producing figures at the wrong fidelity would be worse.
     #[must_use]
     pub fn new() -> Self {
         let instructions = match std::env::var("DIQ_INSTRS") {
-            Ok(s) => diq_exp::parse_count(&s).unwrap_or_else(|| {
-                panic!("DIQ_INSTRS=`{s}` is not a valid instruction count (try 250000 or 100k)")
-            }),
+            Ok(s) => diq_exp::parse_count(&s)
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| {
+                    panic!("DIQ_INSTRS=`{s}` is not a valid instruction count (try 250000 or 100k)")
+                }),
             Err(_) => crate::DEFAULT_INSTRUCTIONS,
         };
         Self::with_instructions(instructions)

@@ -23,7 +23,6 @@ ci: verify
     cargo fmt --all --check
     cargo clippy --all-targets --workspace -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-    cargo bench --no-run --workspace
 
 # Regenerate every paper artifact (DIQ_INSTRS trades time for fidelity;
 # 100k/5M-style suffixes accepted).
@@ -121,15 +120,14 @@ bench-replay bench="misschase":
 bench-adaptive:
     cargo run --release --example adaptive_geometry
 
-# One fast end-to-end pass: compile the 3 bench executables (the Criterion
-# `micro_schedulers` and two ablations) and regenerate the two headline
-# paper artifacts at a tiny budget. Simulator throughput is perfbench
-# (`python3 perfbench/run.py`), not a bench target.
+# One fast end-to-end pass: regenerate the two headline paper artifacts
+# and the chain-budget ablation at a tiny budget. Simulator throughput is
+# perfbench (`python3 perfbench/run.py`).
 bench-smoke:
-    cargo bench --no-run --workspace
     cargo build --release
     DIQ_INSTRS=2000 ./target/release/diq figure tab1
     DIQ_INSTRS=2000 ./target/release/diq figure headline
+    DIQ_INSTRS=2000 ./target/release/diq figure ablation_chains
 
 # Remove build output.
 clean:

@@ -169,6 +169,27 @@ fn diq_run_rejects_a_zero_instruction_count() {
     }
 }
 
+/// `DIQ_INSTRS=0` would run every grid at zero instructions: `diq figure`
+/// refuses it by name, before simulating anything.
+#[test]
+fn diq_figure_rejects_a_zero_diq_instrs() {
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .args(["figure", "tab1"])
+        .env("DIQ_INSTRS", "0")
+        .output()
+        .expect("run `diq figure`");
+    assert!(
+        !out.status.success(),
+        "`DIQ_INSTRS=0 diq figure tab1`: {out:?}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("DIQ_INSTRS=`0` is not a valid instruction count"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "`diq figure tab1` printed at 0");
+}
+
 /// `diq run … | head -1`: a reader that goes away must end `diq` quietly,
 /// not with a `println!` panic and a backtrace. Two shapes: the read end
 /// closed before anything is written (every write fails, so this one

@@ -9,10 +9,10 @@ fn harness() -> Harness {
 }
 
 #[test]
-fn all_sixteen_artifacts_build() {
+fn all_eighteen_artifacts_build() {
     let h = harness();
     let figs = figures::all(&h);
-    assert_eq!(figs.len(), 16);
+    assert_eq!(figs.len(), 18);
     for (f, (id, _)) in figs.iter().zip(figures::ALL) {
         assert_eq!(f.id, id, "the table's id names the figure it builds");
         assert!(!f.rows.is_empty(), "{} is empty", f.id);
@@ -35,6 +35,23 @@ fn loss_figures_cover_their_suites() {
     assert!(f4.headers[1].starts_with("LatFIFO_"));
     let f6 = figures::fig6(&h);
     assert!(f6.headers[1].starts_with("MixBUFF_"));
+}
+
+#[test]
+fn ablations_cover_their_sweeps() {
+    let h = harness();
+    let chains = figures::ablation_chains(&h);
+    let budgets: Vec<&str> = chains.rows.iter().map(|r| r[0].as_str()).collect();
+    assert_eq!(budgets, ["1", "2", "4", "8", "16"]);
+    for budget in budgets {
+        let loss = chains
+            .value(budget, "loss vs unbounded IQ")
+            .unwrap_or_else(|| panic!("{budget} chains: no loss"));
+        assert!(loss.is_finite(), "{budget} chains: loss {loss}");
+    }
+    let priority = figures::ablation_priority(&h);
+    assert_eq!(priority.rows.len(), 14, "one row per SPECfp benchmark");
+    assert!(priority.value("swim", "heuristic gain").is_some());
 }
 
 #[test]
