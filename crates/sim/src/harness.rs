@@ -44,18 +44,27 @@ impl Harness {
     /// # Panics
     ///
     /// If `DIQ_INSTRS` is set but not a positive count — a typo silently
-    /// producing figures at the wrong fidelity would be worse.
+    /// producing figures at the wrong fidelity would be worse. Use
+    /// [`Harness::from_env`] to get the message as an error instead.
     #[must_use]
     pub fn new() -> Self {
+        Self::from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Harness::new`], reporting a bad `DIQ_INSTRS` as an error.
+    ///
+    /// # Errors
+    ///
+    /// `DIQ_INSTRS` is set but not a positive count; the message names the
+    /// variable and its value.
+    pub fn from_env() -> Result<Self, String> {
         let instructions = match std::env::var("DIQ_INSTRS") {
-            Ok(s) => diq_exp::parse_count(&s)
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    panic!("DIQ_INSTRS=`{s}` is not a valid instruction count (try 250000 or 100k)")
-                }),
+            Ok(s) => diq_exp::parse_count(&s).filter(|&n| n > 0).ok_or_else(|| {
+                format!("DIQ_INSTRS=`{s}` is not a valid instruction count (try 250000 or 100k)")
+            })?,
             Err(_) => crate::DEFAULT_INSTRUCTIONS,
         };
-        Self::with_instructions(instructions)
+        Ok(Self::with_instructions(instructions))
     }
 
     /// A harness simulating `instructions` per benchmark (tests use small

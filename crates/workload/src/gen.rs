@@ -51,6 +51,18 @@ const INST_BYTES: u64 = 4;
 /// Bytes per code block.
 const BLOCK_BYTES: u64 = BLOCK_INSTRS * INST_BYTES;
 
+/// `(i + 1) % n` for a cursor `i < n` round a non-empty ring, with a
+/// compare instead of a division.
+#[inline]
+fn wrap_next(i: usize, n: usize) -> usize {
+    let next = i + 1;
+    if next >= n {
+        0
+    } else {
+        next
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Chain {
     reg: ArchReg,
@@ -314,7 +326,7 @@ impl TraceGenerator {
         self.state.intra += 1;
         if self.state.intra.is_multiple_of(BLOCK_INSTRS) {
             // Fall through into the adjacent block.
-            self.state.block = (self.state.block + 1) % self.sites.len().max(1);
+            self.state.block = wrap_next(self.state.block, self.sites.len());
             self.state.intra = 0;
         }
     }
@@ -331,7 +343,16 @@ impl TraceGenerator {
             self.state.rng.random_range(0..fp) & !7
         } else {
             let a = self.state.streams[k];
-            self.state.streams[k] = (a + self.spec.mem.stride) % fp;
+            // `(a + stride) % fp` with `a < fp`: a single subtraction
+            // unless the stride itself exceeds the footprint.
+            let mut next = a + self.spec.mem.stride;
+            if next >= fp {
+                next -= fp;
+                if next >= fp {
+                    next %= fp;
+                }
+            }
+            self.state.streams[k] = next;
             a
         };
         self.data_base + (k as u64) * fp + addr
@@ -462,16 +483,14 @@ impl TraceGenerator {
             self.state.call_stack.push((pc + 4, until_return));
             // Call targets are static: the same site always calls the same
             // function, as in real code (the BTB learns it once).
-            let site_idx = self.state.block % self.sites.len();
-            let target_block = self.sites[site_idx].call_target_block;
+            let target_block = self.sites[self.state.block].call_target_block;
             let target = self.code_base + target_block as u64 * BLOCK_BYTES;
             self.state.block = target_block;
             self.state.intra = 0;
             return Inst::jump(BranchKind::Call, target).at(pc);
         }
 
-        let site_idx = self.state.block % self.sites.len();
-        let site = &self.sites[site_idx];
+        let site = &self.sites[self.state.block];
         let pc = site.pc;
         let mut taken = self.state.rng.random_bool(site.bias);
         if self.state.rng.random_bool(self.spec.branch.noise) {
@@ -549,11 +568,7 @@ impl TraceGenerator {
             .chains
             .iter()
             .find(|c| c.remaining == 0)
-            .or_else(|| {
-                self.state
-                    .chains
-                    .get(self.state.rr % self.state.chains.len())
-            })
+            .or_else(|| self.state.chains.get(self.state.rr))
             .map(|c| c.reg)
             .unwrap_or_else(|| ArchReg::int(R_INVARIANT));
         Inst::store(data, addr_reg, addr, 8).at(pc)
@@ -562,8 +577,7 @@ impl TraceGenerator {
     fn emit_arith(&mut self) -> Inst {
         let pc = self.pc();
         self.advance_pc();
-        let n = self.state.chains.len();
-        self.state.rr = (self.state.rr + 1) % n;
+        self.state.rr = wrap_next(self.state.rr, self.state.chains.len());
         let ci = self.state.rr;
         let (reg, remaining) = {
             let c = &self.state.chains[ci];

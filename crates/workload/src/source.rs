@@ -45,9 +45,13 @@ impl TraceRef {
     /// # Errors
     ///
     /// A human-readable message when the file is missing, not a `.diqt`
-    /// trace, or structurally inconsistent.
+    /// trace, structurally inconsistent, or holds no instructions (a run
+    /// over it would simulate nothing and report an IPC of 0).
     pub fn open(path: &str) -> Result<TraceRef, String> {
         let meta = trace::read_meta(path).map_err(|e| e.to_string())?;
+        if meta.instructions == 0 {
+            return Err(format!("trace `{path}` holds no instructions"));
+        }
         Ok(TraceRef {
             path: path.to_string(),
             name: meta.name,

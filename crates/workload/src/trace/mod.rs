@@ -26,8 +26,21 @@
 //!   the 8-byte head, the 16-byte trailer and the footer — O(1) in the
 //!   trace length.
 //!
+//! * Identity is the content hash over the raw bytes, never the
+//!   compressed ones. [`lzblock::compress`] may pick other matches in
+//!   another build, so two files of one stream can differ byte for byte
+//!   while their content hash and block checksums agree. Store keys carry
+//!   only the content hash.
+//!
 //! [`TraceWriter`] records, [`TraceReader`] streams in O(1) memory, and
 //! [`ingest_text`] converts a simple external text/CSV schema into `.diqt`.
+//!
+//! [`record`] runs in two overlapped stages. A scoped producer thread
+//! drains the instruction source into [`BLOCK_INSTRS`]-sized batches; the
+//! calling thread encodes, compresses, hashes and writes each batch, with
+//! the content hash and the block checksum folded in one pass over the
+//! raw bytes. The file is byte for byte what a serial [`TraceWriter::push`]
+//! loop writes.
 
 mod encode;
 mod ingest;
@@ -137,6 +150,21 @@ pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
     })
 }
 
+/// Folds `bytes` into two independent FNV-1a chains in one pass:
+/// `(fnv1a64(a, bytes), fnv1a64(b, bytes))`. Each chain is a serial
+/// multiply per byte, so running two side by side costs about what one
+/// costs; the writer uses it for the content hash and the block checksum.
+#[must_use]
+pub(crate) fn fnv1a64_pair(a: u64, b: u64, bytes: &[u8]) -> (u64, u64) {
+    bytes.iter().fold((a, b), |(a, b), &x| {
+        let x = u64::from(x);
+        (
+            (a ^ x).wrapping_mul(0x0000_0100_0000_01b3),
+            (b ^ x).wrapping_mul(0x0000_0100_0000_01b3),
+        )
+    })
+}
+
 /// FNV-1a offset basis — the starting value for [`fnv1a64`] chains.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -148,4 +176,24 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// file.
 pub fn read_meta(path: &str) -> Result<TraceMeta, TraceError> {
     Ok(TraceReader::open(path)?.meta().clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_paired_fold_is_two_independent_chains() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        for (a, b) in [
+            (FNV_OFFSET, FNV_OFFSET),
+            (0x1234, FNV_OFFSET),
+            (0, u64::MAX),
+        ] {
+            assert_eq!(
+                fnv1a64_pair(a, b, &bytes),
+                (fnv1a64(a, &bytes), fnv1a64(b, &bytes))
+            );
+        }
+    }
 }

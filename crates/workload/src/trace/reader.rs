@@ -288,9 +288,13 @@ impl TraceReader {
             self.ended = true;
             return Ok(None);
         }
-        let bi = u64::from(self.meta.block_instrs);
-        let block = self.next_index / bi;
-        if block != self.cur_block {
+        // Outside the loaded block? A range test, not a division per
+        // instruction.
+        if self.cur_block == NO_BLOCK
+            || self.next_index < self.block_first
+            || self.next_index >= self.block_first + self.block_len
+        {
+            let block = self.next_index / u64::from(self.meta.block_instrs);
             let off = if self.cur_block != NO_BLOCK && self.cur_block + 1 == block {
                 self.next_block_off
             } else if self.cur_block == NO_BLOCK && block == 0 {

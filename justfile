@@ -43,16 +43,21 @@ sweep-smoke:
     jq -e '.computed == 0 and .cached == .total and .cache_hit_pct == 100' ci-results/second.json
     ./target/release/diq export ci-smoke --store ci-results
 
-# The CI trace check, locally: record a 50k-instruction trace, assert its
-# metadata over `diq trace info --json`, then sweep a grid mixing the
-# recorded trace with seeded profile variants twice — the resubmit must be
-# 100% cache hits (trace content hashes and profile seeds dedup correctly).
+# The CI trace check, locally: record a 50k-instruction trace twice (the
+# two files must be identical), assert its metadata and content hash over
+# `diq trace info --json`, check that `-n 0` is refused, then sweep a grid
+# mixing the recorded trace with seeded profile variants twice — the
+# resubmit must be 100% cache hits (trace content hashes and profile seeds
+# dedup correctly).
 trace-smoke:
     cargo build --release
     mkdir -p traces
     ./target/release/diq trace record kernel:gzip -n 50k -o traces/gzip-50k.diqt
+    ./target/release/diq trace record kernel:gzip -n 50k -o traces/gzip-50k-again.diqt
+    cmp traces/gzip-50k.diqt traces/gzip-50k-again.diqt
     ./target/release/diq trace info traces/gzip-50k.diqt --json > trace-info.json
-    jq -e '.instructions == 50000 and .name == "gzip" and (.content | length) == 16' trace-info.json
+    jq -e '.instructions == 50000 and .name == "gzip" and .content == "adc404aaea4234be"' trace-info.json
+    ! ./target/release/diq trace record kernel:gzip -n 0 -o traces/empty.diqt
     ./target/release/diq sweep experiments/trace_smoke.json --store trace-results --summary-json trace-first.json
     jq -e '.computed + .cached == .total and .total > 0' trace-first.json
     ./target/release/diq sweep experiments/trace_smoke.json --store trace-results --summary-json trace-second.json

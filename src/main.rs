@@ -283,8 +283,12 @@ fn cmd_trace_record(args: &[String]) {
             "`{uri}` is already a trace; record needs a generated workload"
         ));
     };
+    // Zero is rejected as `diq run` rejects it: an empty trace would
+    // replay as a run that simulates nothing.
     let n: u64 = match flags.get("instructions") {
-        Some(s) => parse_count(s).unwrap_or_else(|| fail(format!("bad instruction count `{s}`"))),
+        Some(s) => parse_count(s)
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| fail(format!("bad instruction count `{s}` (try 250000 or 100k)"))),
         None => diq::exp::DEFAULT_INSTRUCTIONS,
     };
     let out = flags
@@ -691,13 +695,14 @@ fn main() {
                 let ids: Vec<&str> = figures::ALL.iter().map(|(known, _)| *known).collect();
                 fail(format!("unknown figure `{id}` ({})", ids.join(", ")));
             };
-            println!("{}", build(&Harness::new()));
+            let h = Harness::from_env().unwrap_or_else(|e| fail(e));
+            println!("{}", build(&h));
         }
         Some("figures") => {
             if args.len() > 1 {
                 usage();
             }
-            let h = Harness::new();
+            let h = Harness::from_env().unwrap_or_else(|e| fail(e));
             for fig in figures::all(&h) {
                 println!("{fig}");
             }

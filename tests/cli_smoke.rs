@@ -170,24 +170,118 @@ fn diq_run_rejects_a_zero_instruction_count() {
 }
 
 /// `DIQ_INSTRS=0` would run every grid at zero instructions: `diq figure`
-/// refuses it by name, before simulating anything.
+/// must refuse it, and any other bad count, as every other bad CLI input
+/// is refused — exit 1 with a named message, not a panic.
 #[test]
 fn diq_figure_rejects_a_zero_diq_instrs() {
+    for value in ["0", "abc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+            .args(["figure", "tab1"])
+            .env("DIQ_INSTRS", value)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run `diq figure`");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "`DIQ_INSTRS={value} diq figure tab1`: {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "DIQ_INSTRS=`{value}` is not a valid instruction count"
+            )),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "`diq figure tab1` printed at {value}"
+        );
+    }
+}
+
+/// `diq trace record -n 0` is refused like `diq run … 0`, and leaves no
+/// file behind.
+#[test]
+fn diq_trace_record_rejects_a_zero_instruction_count() {
+    let path = std::env::temp_dir().join(format!("diqt-cli-zero-{}.diqt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
     let out = Command::new(env!("CARGO_BIN_EXE_diq"))
-        .args(["figure", "tab1"])
-        .env("DIQ_INSTRS", "0")
+        .args(["trace", "record", "kernel:gzip", "-n", "0", "-o"])
+        .arg(&path)
         .output()
-        .expect("run `diq figure`");
-    assert!(
-        !out.status.success(),
-        "`DIQ_INSTRS=0 diq figure tab1`: {out:?}"
-    );
+        .expect("run `diq trace record`");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad instruction count `0`"), "{stderr}");
+    assert!(!path.exists(), "`-n 0` wrote {}", path.display());
+}
+
+/// A trace with no instructions still reads (`diq trace info`), but a run
+/// or sweep over it would report IPC 0 as a green result: both refuse it
+/// by name.
+#[test]
+fn an_empty_trace_is_refused_as_a_workload() {
+    let dir = std::env::temp_dir().join(format!("diqt-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.diqt");
+    diq::workload::TraceWriter::create(&path, "empty", 0, "test")
+        .unwrap()
+        .finish()
+        .unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .args(["trace", "info"])
+        .arg(&path)
+        .arg("--json")
+        .output()
+        .expect("run `diq trace info`");
+    assert!(out.status.success(), "info failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"instructions\":0"), "{stdout}");
+
+    let uri = format!("trace:{}", path.display());
+    let named = format!("trace `{}` holds no instructions", path.display());
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .args(["run", "MB_distr", &uri, "100"])
+        .output()
+        .expect("run `diq run`");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(
-        stderr.contains("DIQ_INSTRS=`0` is not a valid instruction count"),
-        "{stderr}"
+        String::from_utf8_lossy(&out.stderr).contains(&named),
+        "{out:?}"
     );
-    assert!(out.stdout.is_empty(), "`diq figure tab1` printed at 0");
+    assert!(
+        out.stdout.is_empty(),
+        "`diq run` over an empty trace printed"
+    );
+
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        format!(
+            r#"{{"name":"empty-trace","instructions":[100],"schemes":["MB_distr"],"workloads":[{{"source":"{uri}"}}],"machines":[{{}}]}}"#
+        ),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_diq"))
+        .arg("sweep")
+        .arg(&spec)
+        .arg("--store")
+        .arg(dir.join("store"))
+        .output()
+        .expect("run `diq sweep`");
+    assert!(!out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains(&named),
+        "{out:?}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("[computed]"),
+        "{out:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `diq run … | head -1`: a reader that goes away must end `diq` quietly,
