@@ -1,10 +1,11 @@
 //! The deterministic parallel runner.
 
-use crate::store::{ManifestEntry, PointRecord, ResultStore, RunManifest};
+use crate::store::{PointRecord, ResultStore, RunManifest};
 use crate::{ExpError, ExperimentSpec, Point, PointResult};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `jobs` independent tasks on up to `threads` workers and returns
@@ -89,28 +90,40 @@ impl SweepOutcome {
     /// Percentage of the grid served from the store.
     #[must_use]
     pub fn cache_hit_pct(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            100.0 * self.cached as f64 / self.total() as f64
-        }
+        hit_pct(self.cached, self.total())
     }
 
     /// The machine-readable summary (see [`SweepSummary`]).
     #[must_use]
     pub fn summary(&self, store: &ResultStore) -> SweepSummary {
-        SweepSummary {
-            run: self.run.clone(),
-            total: self.total(),
-            computed: self.computed,
-            cached: self.cached,
-            cache_hit_pct: self.cache_hit_pct(),
-            store: store.root().display().to_string(),
-        }
+        SweepSummary::new(self.run.clone(), self.computed, self.cached, store.root())
+    }
+}
+
+fn hit_pct(cached: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        100.0 * cached as f64 / total as f64
     }
 }
 
 impl SweepSummary {
+    /// The summary of run `run` over `computed + cached` grid points, whose
+    /// results landed in the store rooted at `store`.
+    #[must_use]
+    pub fn new(run: String, computed: usize, cached: usize, store: &Path) -> Self {
+        let total = computed + cached;
+        SweepSummary {
+            run,
+            total,
+            computed,
+            cached,
+            cache_hit_pct: hit_pct(cached, total),
+            store: store.display().to_string(),
+        }
+    }
+
     /// Pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -213,20 +226,8 @@ pub fn sweep_as(
         records.push(rec);
     }
 
-    let manifest = RunManifest {
-        name: run_name.clone(),
-        description: spec.description.clone(),
-        points: records
-            .iter()
-            .map(|r| ManifestEntry {
-                key: r.key.clone(),
-                scheme: r.result.scheme.clone(),
-                benchmark: r.result.benchmark.clone(),
-                instructions: r.result.instructions,
-                machine: r.result.machine.clone(),
-            })
-            .collect(),
-    };
+    let manifest =
+        RunManifest::from_points(run_name.clone(), spec.description.clone(), &points, &keys);
     store.write_manifest(&manifest)?;
 
     // Counts are over grid points: `fresh` marks the ones this invocation

@@ -14,7 +14,7 @@
 //! (scheme, workload, count, machine) point share one record, and re-running
 //! any spec recomputes only keys not yet present.
 
-use crate::point::PointResult;
+use crate::point::{Point, PointResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
@@ -56,6 +56,34 @@ pub struct RunManifest {
     pub description: Option<String>,
     /// The grid, in deterministic grid order.
     pub points: Vec<ManifestEntry>,
+}
+
+impl RunManifest {
+    /// The manifest of run `name` over an expanded grid: `keys[i]` is the
+    /// store key of `points[i]` (as [`Point::keys`] returns them).
+    #[must_use]
+    pub fn from_points(
+        name: String,
+        description: Option<String>,
+        points: &[Point],
+        keys: &[String],
+    ) -> Self {
+        RunManifest {
+            name,
+            description,
+            points: points
+                .iter()
+                .zip(keys)
+                .map(|(p, key)| ManifestEntry {
+                    key: key.clone(),
+                    scheme: p.scheme.label(),
+                    benchmark: p.benchmark().to_string(),
+                    instructions: p.instructions,
+                    machine: p.machine_label.clone(),
+                })
+                .collect(),
+        }
+    }
 }
 
 /// A directory-backed result store.

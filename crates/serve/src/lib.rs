@@ -13,17 +13,20 @@
 //! * **Join-the-idle-queue dispatch.** Workers pull by announcing idleness;
 //!   the server never queues work onto a busy worker, so a slow machine
 //!   holds back one point, not a shard.
-//! * **Sweep-identical output.** All results funnel through one writer
-//!   thread in grid order: the final `results/store.jsonl` is byte-identical
-//!   to what a single-process `diq sweep` of the same specs would write, and
-//!   run manifests land in the same `runs/` layout. Every downstream tool
-//!   (`compare`, `export`, the figure harness) works unchanged.
+//! * **Sweep-identical output.** One event-loop thread writes every result,
+//!   in each job's grid order: the final `results/store.jsonl` is
+//!   byte-identical to what a single-process `diq sweep` of the same specs
+//!   would write, and a run manifest lands in the same `runs/` layout once
+//!   every record it names is stored. Every downstream tool (`compare`,
+//!   `export`, the figure harness) works unchanged.
 //!
 //! Workers hold leases with deadlines; a worker that dies mid-point is
 //! detected by lease expiry (or socket EOF) and its points are reassigned,
 //! so a sweep survives worker churn with at-most-once recording.
 //!
-//! Everything is `std` TCP + threads + channels — no async runtime.
+//! Every scheduling decision lives in [`core`], a sans-IO state machine
+//! that takes `(now, event)` and returns actions; the server around it
+//! is `std` TCP + threads + channels, no async runtime.
 //!
 //! # In-process example
 //!
@@ -52,6 +55,7 @@
 #![deny(missing_docs)]
 
 mod client;
+pub mod core;
 pub mod protocol;
 mod server;
 mod worker;

@@ -1,52 +1,46 @@
-//! The sweep service: job decomposition, join-the-idle-queue dispatch,
-//! leases, and the single-writer store thread.
+//! The sweep service's I/O shell: sockets, threads, the clock and the
+//! store, around the scheduling [`Core`].
 //!
 //! # Architecture
 //!
 //! ```text
-//!  submit clients ──┐                 ┌── worker conns (push: Assign/Close)
-//!                   ▼                 ▼
-//!            accept loop ── connection threads
-//!                   │                 │
-//!                   ▼                 ▼
-//!              ServerState (one mutex): jobs, leases,
-//!              idle-worker queue, pending points, stored keys
-//!                   │
+//!  submit clients ──┐                   ┌── workers
+//!                   ▼                   ▼
+//!            accept thread ── per connection, a reader thread: decodes
+//!                   │         frames into events, expands submitted specs
+//!                   │                   │ Input (mpsc)
+//!                   ▼                   ▼
+//!            event loop thread: owns the Core, the clock, store.jsonl
+//!            and runs/; sleeps until the next lease deadline (Tick)
+//!                   │ frames (one outbox channel per connection)
 //!                   ▼
-//!            writer thread — the only place store.jsonl is written
+//!            per connection, a push thread: the only writer of its
+//!            socket (replies, Registered, Assign, Close)
 //! ```
 //!
-//! Three invariants, enforced here and asserted by `tests/serve_e2e.rs`:
+//! Every scheduling decision, and every invariant it keeps (at-most-once
+//! recording, join-the-idle-queue dispatch, grid-ordered records with
+//! manifests last), lives in [`crate::core`]. The shell adds two of its
+//! own:
 //!
-//! * **At-most-once execution.** A point key is claimed by the first job
-//!   to subscribe to it (the job that creates its subscriber entry) before
-//!   it is scheduled; concurrent submissions of the same grid share the
-//!   claim winner's execution. A result is accepted only if its lease is
-//!   still live, so a crashed worker's reassigned point is recorded exactly
-//!   once.
-//! * **Join-the-idle-queue dispatch.** Workers announce idleness; points are
-//!   assigned only in response. The server never queues work onto a busy
-//!   worker — a slow worker holds back exactly the one point it leased,
-//!   never a shard of the grid (contrast round-robin sharding, where the
-//!   slowest shard gates the sweep).
-//! * **Single-writer, grid-ordered store.** All appends funnel through one
-//!   writer thread, and each job's records are released to it in the job's
-//!   grid order (a completed record waits for its predecessors). The final
-//!   `store.jsonl` is byte-identical to a single-process `diq sweep`.
+//! * **Single writer.** The event loop carries out every action, so it is
+//!   the only code that appends to `store.jsonl` or writes a manifest, and
+//!   the only code that reads the clock.
+//! * **No socket stalls the loop.** The loop never reads or writes a
+//!   socket: it hands frames to unbounded per-connection channels. A client
+//!   or worker that stops reading blocks only its own push thread. The one
+//!   socket call the loop makes is the hang-up on a worker whose lease
+//!   expired, a `shutdown`, which does not block; it ends that
+//!   connection's reader and push threads, and the worker sees EOF.
 
-use crate::protocol::{read_frame, write_frame, FromServer, JobView, ToServer, PROTOCOL_VERSION};
-use crossbeam::channel::{self, Sender};
-use diq_exp::{
-    validate_run_name, ExperimentSpec, ManifestEntry, Point, PointRecord, ResultStore, RunManifest,
-    SweepSummary,
-};
-use parking_lot::Mutex;
-use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
+use crate::core::{Action, Core, Event};
+use crate::protocol::{read_frame, write_frame, FromServer, ToServer, PROTOCOL_VERSION};
+use diq_exp::{validate_run_name, ExperimentSpec, Point, ResultStore, RunManifest, StoreWriter};
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,8 +55,6 @@ pub struct ServeConfig {
     /// Lease deadline: a point whose worker neither heartbeats nor delivers
     /// within this window is presumed lost and reassigned.
     pub lease: Duration,
-    /// How often the reaper scans for expired leases.
-    pub reap_every: Duration,
     /// Suppress per-event stderr logging.
     pub quiet: bool,
 }
@@ -73,7 +65,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             store_dir: PathBuf::from("results"),
             lease: Duration::from_secs(30),
-            reap_every: Duration::from_millis(100),
             quiet: false,
         }
     }
@@ -81,113 +72,56 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Binds, seeds the stored-key index from the store, and starts the
-    /// accept loop, writer thread and lease reaper.
+    /// accept thread and the event loop.
     ///
     /// # Errors
     ///
     /// Bind and store-open failures.
     pub fn spawn(self) -> io::Result<ServerHandle> {
-        Server::spawn(self)
+        let listener = TcpListener::bind(&self.addr)?;
+        let addr = listener.local_addr()?;
+        let store = ResultStore::open(&self.store_dir)?;
+        let stored = store.load()?.into_keys().collect();
+        let writer = store.writer()?;
+        let (root, quiet) = (store.root().to_path_buf(), self.quiet);
+        let line = format!(
+            "listening on {addr}, store {}, lease {:?}",
+            root.display(),
+            self.lease
+        );
+        log(quiet, line);
+        let core = Core::new(self.lease, root, stored);
+        let (inbox, inputs) = mpsc::channel();
+        let (stop_tx, stop_rx) = mpsc::channel();
+        let event_loop =
+            std::thread::spawn(move || event_loop(core, &inputs, &store, writer, quiet));
+        let accept = std::thread::spawn({
+            let inbox = inbox.clone();
+            move || accept_loop(&listener, &inbox, &stop_tx, quiet)
+        });
+        Ok(ServerHandle {
+            addr,
+            inbox,
+            stop_rx,
+            event_loop,
+            accept,
+        })
     }
 }
 
-/// A point owned (claimed) by a job, waiting for or holding a lease.
-struct OwnedPoint {
-    key: String,
-    point: Point,
-    job: u64,
-}
-
-/// An outstanding assignment.
-struct Lease {
-    key: String,
-    point: Point,
-    job: u64,
-    worker: u64,
-    deadline: Instant,
-}
-
-/// A registered worker connection.
-struct Worker {
-    name: String,
-    tx: Sender<FromServer>,
-    leases: HashSet<u64>,
-}
-
-/// One submitted job.
-struct Job {
-    run: String,
-    /// Grid points, duplicates included (sweep semantics).
-    total: usize,
-    /// Grid points whose key this job claimed (it executes them).
-    computed: usize,
-    /// `total - computed`: store hits, peer-shared keys, intra-job dupes.
-    cached: usize,
-    /// Distinct keys not yet in the store.
-    remaining: usize,
-    /// Keys this job claimed, in grid order — the write sequence.
-    owned: Vec<String>,
-    /// Cursor into `owned`: everything before it has been written.
-    written: usize,
-    /// Completed-but-not-yet-writable records (waiting on predecessors).
-    results: HashMap<String, PointRecord>,
-    /// The manifest to write on completion (prepared at submit).
-    manifest: RunManifest,
-    done: bool,
-}
-
-/// Commands for the single writer thread.
-// A `Record` carries a whole point record, but each value only crosses the
-// channel once on its way to disk — boxing would buy nothing (the same
-// call the protocol enums make).
+/// What reaches the event loop.
+// An `Event` can carry a whole record, but each input crosses the channel
+// once — boxing would buy nothing (the same call the protocol enums make).
 #[allow(clippy::large_enum_variant)]
-enum WriterCmd {
-    Record(PointRecord),
-    Manifest(RunManifest),
+enum Input {
+    /// A new connection, the outbox its frames go to, and a handle to hang
+    /// it up with.
+    Open(u64, Sender<FromServer>, TcpStream),
+    Core(Event),
+    /// [`ServerHandle::results_accepted`]'s question.
+    ResultsAccepted(Sender<u64>),
+    /// Say farewell to the workers and end the loop.
     Stop,
-}
-
-#[derive(Default)]
-struct State {
-    next_job: u64,
-    next_lease: u64,
-    next_worker: u64,
-    jobs: HashMap<u64, Job>,
-    workers: HashMap<u64, Worker>,
-    /// Workers that announced idleness, in announcement order (JIQ).
-    idle: VecDeque<u64>,
-    /// Claimed points with no idle worker at claim time, FIFO; reassigned
-    /// points re-enter at the front.
-    pending: VecDeque<OwnedPoint>,
-    leases: HashMap<u64, Lease>,
-    /// Keys with a completed record in the store (seeded at startup,
-    /// updated as results land).
-    stored: HashSet<String>,
-    /// Jobs waiting on each in-flight key, claiming job first. A key has
-    /// an entry exactly while it is claimed: from the submission that
-    /// creates the entry until its result lands.
-    subscribers: HashMap<String, Vec<u64>>,
-    /// Socket clones for shutdown.
-    conns: Vec<TcpStream>,
-}
-
-struct Shared {
-    cfg: ServeConfig,
-    store: ResultStore,
-    state: Mutex<State>,
-    writer_tx: Sender<WriterCmd>,
-    stop_tx: Sender<()>,
-    running: AtomicBool,
-    /// Results accepted (lease validated) — the at-most-once counter.
-    results_accepted: AtomicU64,
-}
-
-impl Shared {
-    fn log(&self, msg: std::fmt::Arguments<'_>) {
-        if !self.cfg.quiet {
-            eprintln!("[serve] {msg}");
-        }
-    }
 }
 
 /// A running server. Dropping the handle does **not** stop the server; call
@@ -196,81 +130,10 @@ impl Shared {
 /// [`ToServer::Shutdown`]).
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    stop_rx: channel::Receiver<()>,
-    accept: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
-    reaper: Option<JoinHandle<()>>,
-}
-
-struct Server;
-
-impl Server {
-    fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let store = ResultStore::open(&cfg.store_dir)?;
-        let stored: HashSet<String> = store.load()?.into_keys().collect();
-        let mut writer = store.writer()?;
-        let (writer_tx, writer_rx) = channel::unbounded::<WriterCmd>();
-        let (stop_tx, stop_rx) = channel::unbounded::<()>();
-
-        let shared = Arc::new(Shared {
-            cfg,
-            store,
-            state: Mutex::new(State {
-                stored,
-                ..State::default()
-            }),
-            writer_tx,
-            stop_tx,
-            running: AtomicBool::new(true),
-            results_accepted: AtomicU64::new(0),
-        });
-        shared.log(format_args!(
-            "listening on {addr}, store {}, lease {:?}",
-            shared.store.root().display(),
-            shared.cfg.lease
-        ));
-
-        // The single writer: every store.jsonl byte the service ever writes
-        // goes through this thread, in the order commands were enqueued
-        // under the state lock.
-        let writer_shared = Arc::clone(&shared);
-        let writer_thread = std::thread::spawn(move || {
-            for cmd in writer_rx.iter() {
-                let outcome = match cmd {
-                    WriterCmd::Record(rec) => writer.append_one(&rec),
-                    WriterCmd::Manifest(m) => writer_shared.store.write_manifest(&m),
-                    WriterCmd::Stop => break,
-                };
-                if let Err(e) = outcome {
-                    writer_shared.log(format_args!("store write failed: {e}"));
-                }
-            }
-        });
-
-        // The lease reaper: expired leases mean a dead or wedged worker.
-        let reaper_shared = Arc::clone(&shared);
-        let reaper_thread = std::thread::spawn(move || {
-            while reaper_shared.running.load(Ordering::SeqCst) {
-                std::thread::sleep(reaper_shared.cfg.reap_every);
-                reap_expired(&reaper_shared);
-            }
-        });
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
-
-        Ok(ServerHandle {
-            addr,
-            shared,
-            stop_rx,
-            accept: Some(accept_thread),
-            writer: Some(writer_thread),
-            reaper: Some(reaper_thread),
-        })
-    }
+    inbox: Sender<Input>,
+    stop_rx: Receiver<()>,
+    event_loop: JoinHandle<()>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -285,7 +148,11 @@ impl ServerHandle {
     /// test asserts on).
     #[must_use]
     pub fn results_accepted(&self) -> u64 {
-        self.shared.results_accepted.load(Ordering::SeqCst)
+        let (reply, answer) = mpsc::channel();
+        let _ = self.inbox.send(Input::ResultsAccepted(reply));
+        answer
+            .recv()
+            .expect("the event loop runs until the handle stops it")
     }
 
     /// Blocks until a client requests shutdown, then cleans up.
@@ -293,526 +160,237 @@ impl ServerHandle {
     /// # Errors
     ///
     /// Propagates cleanup I/O failures.
-    pub fn wait(mut self) -> io::Result<()> {
+    pub fn wait(self) -> io::Result<()> {
         let _ = self.stop_rx.recv();
-        self.cleanup()
+        self.shutdown()
     }
 
-    /// Stops the server now: closes the listener and every connection,
-    /// notifies workers with [`FromServer::Close`], and joins all threads.
+    /// Stops the server now: notifies workers with [`FromServer::Close`],
+    /// closes the listener and every connection, and joins all threads.
     ///
     /// # Errors
     ///
     /// Propagates cleanup I/O failures.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        self.cleanup()
-    }
-
-    fn cleanup(&mut self) -> io::Result<()> {
-        self.shared.running.store(false, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
+    pub fn shutdown(self) -> io::Result<()> {
+        let _ = self.inbox.send(Input::Stop);
+        let _ = self.event_loop.join();
+        // The loop has dropped its receiver, so the accept thread stops at
+        // its next connection: make one.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let _ = self.shared.writer_tx.send(WriterCmd::Stop);
-        if let Some(t) = self.writer.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.reaper.take() {
-            let _ = t.join();
-        }
-        self.shared.log(format_args!("shut down"));
+        let _ = self.accept.join();
         Ok(())
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut children: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if let Ok(clone) = stream.try_clone() {
-            shared.state.lock().conns.push(clone);
-        }
-        let conn_shared = Arc::clone(shared);
-        children.push(std::thread::spawn(move || {
-            connection_loop(stream, &conn_shared);
-        }));
-    }
-    // Clean farewell: Close to every worker (their push threads flush it
-    // and hang up), then force every socket shut so readers unblock.
-    {
-        let mut state = shared.state.lock();
-        for worker in state.workers.values() {
-            let _ = worker.tx.send(FromServer::Close);
-        }
-        state.workers.clear();
-        state.idle.clear();
-        for conn in state.conns.drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-    }
-    for child in children {
-        let _ = child.join();
+fn log(quiet: bool, msg: impl std::fmt::Display) {
+    if !quiet {
+        eprintln!("[serve] {msg}");
     }
 }
 
-/// Per-connection reader. The first frame fixes the role: `Register` makes
-/// this a worker connection (pushes flow through its channel/writer thread),
-/// anything else a strict request/reply client connection.
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let mut worker_id: Option<u64> = None;
-    let mut push_thread: Option<JoinHandle<()>> = None;
+/// The one thread that owns the core: it turns inputs and lease deadlines
+/// into events and carries out every action the core returns.
+fn event_loop(
+    mut core: Core,
+    inputs: &Receiver<Input>,
+    store: &ResultStore,
+    mut writer: StoreWriter,
+    quiet: bool,
+) {
+    let start = Instant::now();
+    let mut outboxes: HashMap<u64, (Sender<FromServer>, TcpStream)> = HashMap::new();
+    loop {
+        let input = match core.next_deadline() {
+            Some(deadline) => inputs.recv_timeout(deadline.saturating_sub(start.elapsed())),
+            None => inputs.recv().map_err(RecvTimeoutError::from),
+        };
+        let event = match input {
+            Ok(Input::Core(event)) => {
+                if let Event::Disconnect { conn } = event {
+                    outboxes.remove(&conn);
+                }
+                event
+            }
+            Err(RecvTimeoutError::Timeout) => Event::Tick,
+            Ok(Input::Open(conn, outbox, sock)) => {
+                outboxes.insert(conn, (outbox, sock));
+                continue;
+            }
+            Ok(Input::ResultsAccepted(reply)) => {
+                let _ = reply.send(core.results_accepted());
+                continue;
+            }
+            Ok(Input::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+        };
+        for action in core.handle(start.elapsed(), event) {
+            let written = match action {
+                Action::WriteRecord(record) => writer.append_one(&record),
+                Action::WriteManifest(manifest) => store.write_manifest(&manifest),
+                Action::Send { conn, frame } => {
+                    if let Some((outbox, _)) = outboxes.get(&conn) {
+                        let _ = outbox.send(frame);
+                    }
+                    continue;
+                }
+                // The connection's reader thread holds an outbox too, so
+                // dropping ours alone would leave the worker connected:
+                // shut the socket, which ends the reader, then the push
+                // thread, and shows the worker EOF.
+                Action::DropWorker { conn } => {
+                    if let Some((_, sock)) = outboxes.remove(&conn) {
+                        let _ = sock.shutdown(Shutdown::Both);
+                    }
+                    continue;
+                }
+                Action::Log(line) => {
+                    log(quiet, line);
+                    continue;
+                }
+            };
+            if let Err(e) = written {
+                log(quiet, format_args!("store write failed: {e}"));
+            }
+        }
+    }
+    // Clean farewell: each worker's push thread flushes Close and hangs up.
+    for (outbox, _) in outboxes.values() {
+        let _ = outbox.send(FromServer::Close);
+    }
+    log(quiet, "shut down");
+}
 
+/// `stop` tells [`ServerHandle::wait`] that a client asked for shutdown.
+fn accept_loop(listener: &TcpListener, inbox: &Sender<Input>, stop: &Sender<()>, quiet: bool) {
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for (conn, stream) in (0..).zip(listener.incoming()) {
+        let Ok(stream) = stream else { continue };
+        let (Ok(shut), Ok(sock), Ok(hangup)) =
+            (stream.try_clone(), stream.try_clone(), stream.try_clone())
+        else {
+            continue;
+        };
+        let (outbox, frames) = mpsc::channel();
+        if inbox
+            .send(Input::Open(conn, outbox.clone(), hangup))
+            .is_err()
+        {
+            break; // the event loop has stopped
+        }
+        let (inbox, stop) = (inbox.clone(), stop.clone());
+        let push = std::thread::spawn(move || push_loop(sock, &frames));
+        let reader = std::thread::spawn(move || {
+            connection_loop(conn, stream, &inbox, &outbox, &stop, quiet);
+            drop(outbox);
+            let _ = push.join();
+        });
+        // A finished connection's clone is its last open descriptor.
+        conns.retain(|(_, reader)| !reader.is_finished());
+        conns.push((shut, reader));
+    }
+    // Force every socket shut so blocked readers and push threads return.
+    for (sock, reader) in conns {
+        let _ = sock.shutdown(Shutdown::Both);
+        let _ = reader.join();
+    }
+}
+
+/// Per-connection reader: decodes frames into core events until the
+/// connection ends. The first frame fixes the role: `Register` makes this a
+/// worker connection, anything else a strict request/reply client
+/// connection. Frames back, the core's and this thread's alike, go through
+/// `outbox` to the connection's push thread, the only writer of its socket.
+fn connection_loop(
+    conn: u64,
+    mut stream: TcpStream,
+    inbox: &Sender<Input>,
+    outbox: &Sender<FromServer>,
+    stop: &Sender<()>,
+    quiet: bool,
+) {
+    let _ = stream.set_nodelay(true);
+    let mut worker = false;
     // EOF or a corrupt stream ends the loop: hang up.
     while let Ok(msg) = read_frame::<ToServer, _>(&mut stream) {
-        match (msg, worker_id) {
-            (ToServer::Register { name, protocol }, None) => {
+        let event = match (msg, worker) {
+            (ToServer::Register { name, protocol }, false) => {
                 if protocol != PROTOCOL_VERSION {
-                    let _ = write_frame(
-                        &mut stream,
-                        &FromServer::Error {
-                            message: format!(
-                                "protocol {protocol} != server protocol {PROTOCOL_VERSION}"
-                            ),
-                        },
-                    );
+                    let message =
+                        format!("protocol {protocol} != server protocol {PROTOCOL_VERSION}");
+                    let _ = outbox.send(FromServer::Error { message });
                     break;
                 }
-                let Ok(sock) = stream.try_clone() else { break };
-                let (wid, rx) = {
-                    let mut state = shared.state.lock();
-                    let wid = state.next_worker;
-                    state.next_worker += 1;
-                    let (tx, rx) = channel::unbounded();
-                    state.workers.insert(
-                        wid,
-                        Worker {
-                            name: name.clone(),
-                            tx,
-                            leases: HashSet::new(),
-                        },
-                    );
-                    (wid, rx)
-                };
-                // The push half: the only thread that writes this socket.
-                push_thread = Some(std::thread::spawn(move || {
-                    let mut sock = sock;
-                    while let Ok(m) = rx.recv() {
-                        let closing = matches!(m, FromServer::Close);
-                        if write_frame(&mut sock, &m).is_err() || closing {
-                            break;
-                        }
-                    }
-                    let _ = sock.shutdown(std::net::Shutdown::Both);
-                }));
-                worker_id = Some(wid);
-                shared.log(format_args!("worker {wid} ({name}) registered"));
-                let state = shared.state.lock();
-                if let Some(w) = state.workers.get(&wid) {
-                    let _ = w.tx.send(FromServer::Registered { worker: wid });
-                }
+                worker = true;
+                Event::Hello { conn, name }
             }
-            (ToServer::Idle, Some(wid)) => handle_idle(shared, wid),
-            (ToServer::Heartbeat, Some(wid)) => handle_heartbeat(shared, wid),
-            (ToServer::Result { lease, record }, Some(wid)) => {
-                handle_result(shared, wid, lease, record);
-            }
+            (ToServer::Idle, true) => Event::Idle { conn },
+            (ToServer::Heartbeat, true) => Event::Heartbeat { conn },
+            (ToServer::Result { lease, record }, true) => Event::Result {
+                conn,
+                lease,
+                record,
+            },
             (
                 ToServer::Submit {
                     spec_json,
                     run_name,
                 },
-                None,
-            ) => {
-                let reply = match handle_submit(shared, &spec_json, run_name.as_deref()) {
-                    Ok((job, view)) => FromServer::Accepted { job, view },
-                    Err(message) => FromServer::Error { message },
-                };
-                if write_frame(&mut stream, &reply).is_err() {
-                    break;
+                false,
+            ) => match expand(conn, &spec_json, run_name.as_deref()) {
+                Ok(event) => event,
+                Err(message) => {
+                    let _ = outbox.send(FromServer::Error { message });
+                    continue;
                 }
-            }
-            (ToServer::Status { job }, None) => {
-                let reply = match shared.state.lock().jobs.get(&job) {
-                    Some(j) => FromServer::JobStatus(job_view(shared, job, j)),
-                    None => FromServer::Error {
-                        message: format!("no job {job}"),
-                    },
-                };
-                if write_frame(&mut stream, &reply).is_err() {
-                    break;
-                }
-            }
-            (ToServer::Shutdown, None) => {
-                let _ = write_frame(&mut stream, &FromServer::ShuttingDown);
-                shared.log(format_args!("shutdown requested"));
-                let _ = shared.stop_tx.send(());
+            },
+            (ToServer::Status { job }, false) => Event::Status { conn, job },
+            (ToServer::Shutdown, false) => {
+                let _ = outbox.send(FromServer::ShuttingDown);
+                log(quiet, "shutdown requested");
+                let _ = stop.send(());
                 break;
             }
             (other, _) => {
                 // Role violation (e.g. a worker submitting, a client
                 // heartbeating): refuse and hang up.
-                shared.log(format_args!("protocol misuse: {other:?}"));
+                log(quiet, format_args!("protocol misuse: {other:?}"));
                 break;
             }
+        };
+        if inbox.send(Input::Core(event)).is_err() {
+            break;
         }
     }
-
-    if let Some(wid) = worker_id {
-        worker_death(shared, wid);
-    }
-    if let Some(t) = push_thread {
-        let _ = t.join();
-    }
+    let _ = inbox.send(Input::Core(Event::Disconnect { conn }));
 }
 
-/// Builds the externally visible view of a job. Caller holds the lock.
-fn job_view(shared: &Shared, id: u64, job: &Job) -> JobView {
-    let summary = job.done.then(|| SweepSummary {
-        run: job.run.clone(),
-        total: job.total,
-        computed: job.computed,
-        cached: job.cached,
-        cache_hit_pct: if job.total == 0 {
-            0.0
-        } else {
-            100.0 * job.cached as f64 / job.total as f64
-        },
-        store: shared.store.root().display().to_string(),
-    });
-    JobView {
-        job: id,
-        run: job.run.clone(),
-        done: job.done,
-        total: job.total,
-        computed: job.computed,
-        cached: job.cached,
-        remaining: job.remaining,
-        summary,
+/// A connection's writer: forwards its outbox until both the event loop and
+/// the reader have dropped it, or the server says Close; then hangs up.
+fn push_loop(mut sock: TcpStream, frames: &Receiver<FromServer>) {
+    while let Ok(frame) = frames.recv() {
+        let closing = matches!(frame, FromServer::Close);
+        if write_frame(&mut sock, &frame).is_err() || closing {
+            break;
+        }
     }
+    let _ = sock.shutdown(Shutdown::Both);
 }
 
-/// Decomposes a submitted spec: dedups every grid key against the store and
-/// the keys in flight, claims the remainder, and dispatches claimed points
-/// to idle workers.
-fn handle_submit(
-    shared: &Arc<Shared>,
-    spec_json: &str,
-    run_name: Option<&str>,
-) -> Result<(u64, JobView), String> {
+/// Parses and expands a submitted spec into the core's `Submit` event.
+/// Expansion happens here, off the event loop, because a `trace:` workload
+/// reads its file.
+fn expand(conn: u64, spec_json: &str, run_name: Option<&str>) -> Result<Event, String> {
     let spec = ExperimentSpec::from_json(spec_json)?;
     let run = run_name.map_or_else(|| spec.name.clone(), str::to_string);
     validate_run_name(&run)?;
     let points = spec.expand()?;
     let keys = Point::keys(&points);
-
-    let manifest = RunManifest {
-        name: run.clone(),
-        description: spec.description.clone(),
-        points: points
-            .iter()
-            .zip(&keys)
-            .map(|(p, key)| ManifestEntry {
-                key: key.clone(),
-                scheme: p.scheme.label(),
-                benchmark: p.benchmark().to_string(),
-                instructions: p.instructions,
-                machine: p.machine_label.clone(),
-            })
-            .collect(),
-    };
-
-    let mut state = shared.state.lock();
-    let job_id = state.next_job;
-    state.next_job += 1;
-
-    let mut owned: Vec<String> = Vec::new();
-    let mut to_dispatch: Vec<OwnedPoint> = Vec::new();
-    let mut owned_set: HashSet<&str> = HashSet::new();
-    let mut seen: HashSet<&str> = HashSet::new();
-    let mut remaining = 0usize;
-    for (point, key) in points.iter().zip(&keys) {
-        if !seen.insert(key) || state.stored.contains(key) {
-            continue; // intra-job duplicate, or already persisted
-        }
-        remaining += 1;
-        match state.subscribers.entry(key.clone()) {
-            // A peer job is computing it: subscribing is the share;
-            // nothing to schedule.
-            Entry::Occupied(mut waiters) => waiters.get_mut().push(job_id),
-            // Nobody is: this job executes the point (and writes its
-            // record).
-            Entry::Vacant(slot) => {
-                slot.insert(vec![job_id]);
-                owned_set.insert(key);
-                owned.push(key.clone());
-                to_dispatch.push(OwnedPoint {
-                    key: key.clone(),
-                    point: point.clone(),
-                    job: job_id,
-                });
-            }
-        }
-    }
-
-    // Sweep counting semantics: every grid position whose key this job
-    // computes counts as computed (duplicates follow their key); the rest —
-    // store hits, peer-shared keys — are the cache/dedup win.
-    let computed = keys
-        .iter()
-        .filter(|k| owned_set.contains(k.as_str()))
-        .count();
-    let total = points.len();
-    let job = Job {
-        run: run.clone(),
-        total,
-        computed,
-        cached: total - computed,
-        remaining,
-        owned,
-        written: 0,
-        results: HashMap::new(),
+    let manifest = RunManifest::from_points(run, spec.description, &points, &keys);
+    Ok(Event::Submit {
+        conn,
+        points,
+        keys,
         manifest,
-        done: false,
-    };
-    shared.log(format_args!(
-        "job {job_id} `{run}`: {total} points, {computed} to compute, {} cached/shared, {} scheduled",
-        total - computed,
-        to_dispatch.len()
-    ));
-    state.jobs.insert(job_id, job);
-    if remaining == 0 {
-        finalize_job(shared, &mut state, job_id);
-    }
-    for owned_point in to_dispatch {
-        dispatch(shared, &mut state, owned_point);
-    }
-    let view = job_view(shared, job_id, &state.jobs[&job_id]);
-    Ok((job_id, view))
-}
-
-/// Hands a claimed point to an idle worker, or queues it. Caller holds the
-/// lock.
-fn dispatch(shared: &Shared, state: &mut State, owned: OwnedPoint) {
-    while let Some(wid) = state.idle.pop_front() {
-        if try_assign(shared, state, wid, &owned) {
-            return;
-        }
-    }
-    state.pending.push_back(owned);
-}
-
-/// As [`dispatch`], but a reassigned point goes to the *front* of the
-/// queue — a crashed point should not wait out the whole backlog again.
-fn redispatch(shared: &Shared, state: &mut State, owned: OwnedPoint) {
-    while let Some(wid) = state.idle.pop_front() {
-        if try_assign(shared, state, wid, &owned) {
-            return;
-        }
-    }
-    state.pending.push_front(owned);
-}
-
-/// Leases `owned` to worker `wid` if it is still registered. Caller holds
-/// the lock.
-fn try_assign(shared: &Shared, state: &mut State, wid: u64, owned: &OwnedPoint) -> bool {
-    let lease_id = state.next_lease;
-    let deadline = Instant::now() + shared.cfg.lease;
-    let Some(worker) = state.workers.get_mut(&wid) else {
-        return false;
-    };
-    let sent = worker
-        .tx
-        .send(FromServer::Assign {
-            lease: lease_id,
-            point: owned.point.clone(),
-        })
-        .is_ok();
-    if !sent {
-        return false;
-    }
-    worker.leases.insert(lease_id);
-    state.next_lease += 1;
-    state.leases.insert(
-        lease_id,
-        Lease {
-            key: owned.key.clone(),
-            point: owned.point.clone(),
-            job: owned.job,
-            worker: wid,
-            deadline,
-        },
-    );
-    true
-}
-
-/// A worker announced idleness: assign the oldest pending point, or park
-/// the worker in the idle queue.
-fn handle_idle(shared: &Arc<Shared>, wid: u64) {
-    let mut state = shared.state.lock();
-    if let Some(owned) = state.pending.pop_front() {
-        if try_assign(shared, &mut state, wid, &owned) {
-            return;
-        }
-        state.pending.push_front(owned);
-        return;
-    }
-    if !state.idle.contains(&wid) {
-        state.idle.push_back(wid);
-    }
-}
-
-/// Extends the deadlines of every lease the worker holds.
-fn handle_heartbeat(shared: &Arc<Shared>, wid: u64) {
-    let mut state = shared.state.lock();
-    let deadline = Instant::now() + shared.cfg.lease;
-    let lease_ids: Vec<u64> = state
-        .workers
-        .get(&wid)
-        .map(|w| w.leases.iter().copied().collect())
-        .unwrap_or_default();
-    for id in lease_ids {
-        if let Some(lease) = state.leases.get_mut(&id) {
-            lease.deadline = deadline;
-        }
-    }
-}
-
-/// A worker delivered a result. Accepted only when the lease is still
-/// live and owned by that worker — a result for an expired-and-reassigned
-/// lease is dropped, preserving at-most-once recording.
-fn handle_result(shared: &Arc<Shared>, wid: u64, lease_id: u64, record: PointRecord) {
-    let mut state = shared.state.lock();
-    let valid = state.leases.get(&lease_id).is_some_and(|l| l.worker == wid);
-    if !valid {
-        shared.log(format_args!(
-            "worker {wid}: stale result for lease {lease_id}, dropped"
-        ));
-        return;
-    }
-    let lease = state.leases.remove(&lease_id).expect("validated above");
-    if let Some(worker) = state.workers.get_mut(&wid) {
-        worker.leases.remove(&lease_id);
-    }
-    if record.key != lease.key {
-        // A worker computing the wrong point is a protocol bug; requeue the
-        // lease rather than corrupt the store.
-        shared.log(format_args!(
-            "worker {wid}: lease {lease_id} returned key {} != {}, requeued",
-            record.key, lease.key
-        ));
-        let owned = OwnedPoint {
-            key: lease.key,
-            point: lease.point,
-            job: lease.job,
-        };
-        redispatch(shared, &mut state, owned);
-        return;
-    }
-    shared.results_accepted.fetch_add(1, Ordering::SeqCst);
-    complete_key(shared, &mut state, &lease.key, lease.job, record);
-}
-
-/// Marks a key complete: releases the owner job's record to the writer in
-/// grid order, and releases the claim by advancing every subscribed job
-/// (finalizing those that drain).
-fn complete_key(shared: &Shared, state: &mut State, key: &str, owner: u64, record: PointRecord) {
-    state.stored.insert(key.to_string());
-
-    if let Some(job) = state.jobs.get_mut(&owner) {
-        job.results.insert(key.to_string(), record);
-        // Grid-order release: a record reaches the writer only once every
-        // predecessor of its job has.
-        while job.written < job.owned.len() {
-            let next = &job.owned[job.written];
-            let Some(rec) = job.results.remove(next) else {
-                break;
-            };
-            let _ = shared.writer_tx.send(WriterCmd::Record(rec));
-            job.written += 1;
-        }
-    }
-
-    let waiters = state.subscribers.remove(key).unwrap_or_default();
-    for job_id in waiters {
-        let Some(job) = state.jobs.get_mut(&job_id) else {
-            continue;
-        };
-        job.remaining = job.remaining.saturating_sub(1);
-        if job.remaining == 0 && !job.done {
-            finalize_job(shared, state, job_id);
-        }
-    }
-}
-
-/// Completes a job: writes its manifest through the writer thread and
-/// freezes its summary. Caller holds the lock.
-fn finalize_job(shared: &Shared, state: &mut State, job_id: u64) {
-    let Some(job) = state.jobs.get_mut(&job_id) else {
-        return;
-    };
-    job.done = true;
-    let _ = shared
-        .writer_tx
-        .send(WriterCmd::Manifest(job.manifest.clone()));
-    shared.log(format_args!(
-        "job {job_id} `{}` complete: {} computed, {} cached",
-        job.run, job.computed, job.cached
-    ));
-}
-
-/// A worker died (socket EOF, channel failure, or expired lease): remove it
-/// everywhere and reassign every lease it held.
-fn worker_death(shared: &Arc<Shared>, wid: u64) {
-    let mut state = shared.state.lock();
-    let Some(worker) = state.workers.remove(&wid) else {
-        return;
-    };
-    let name = worker.name;
-    let lease_ids: Vec<u64> = worker.leases.into_iter().collect();
-    state.idle.retain(|w| *w != wid);
-    if !lease_ids.is_empty() {
-        shared.log(format_args!(
-            "worker {wid} ({name}) lost with {} lease(s), reassigning",
-            lease_ids.len()
-        ));
-    } else {
-        shared.log(format_args!("worker {wid} ({name}) disconnected"));
-    }
-    for id in lease_ids {
-        if let Some(lease) = state.leases.remove(&id) {
-            let owned = OwnedPoint {
-                key: lease.key,
-                point: lease.point,
-                job: lease.job,
-            };
-            redispatch(shared, &mut state, owned);
-        }
-    }
-}
-
-/// Reaper pass: any expired lease marks its whole worker dead (no
-/// heartbeat means no liveness), which requeues everything it held.
-fn reap_expired(shared: &Arc<Shared>) {
-    let now = Instant::now();
-    let dead: Vec<u64> = {
-        let state = shared.state.lock();
-        state
-            .leases
-            .values()
-            .filter(|l| l.deadline < now)
-            .map(|l| l.worker)
-            .collect()
-    };
-    for wid in dead {
-        shared.log(format_args!("lease expired on worker {wid}"));
-        worker_death(shared, wid);
-    }
+    })
 }
 
 #[cfg(test)]
@@ -836,7 +414,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             store_dir: store,
             lease: Duration::from_secs(5),
-            reap_every: Duration::from_millis(25),
             quiet: true,
         }
     }
@@ -949,6 +526,21 @@ mod tests {
         let summary = client.watch(view.job, Duration::from_millis(20)).unwrap();
         assert_eq!(summary.computed, 2);
         assert_eq!(handle.results_accepted(), 2, "each point recorded once");
+
+        // The server has hung up on the wedged worker: its next read ends
+        // at once instead of waiting for an Assign that never comes.
+        wedged
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match read_frame::<FromServer, _>(&mut wedged) {
+            Ok(FromServer::Close) => {}
+            Err(e)
+                if !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("expired worker still connected: {other:?}"),
+        }
 
         drop(wedged);
         client.shutdown_server().unwrap();

@@ -9,11 +9,10 @@
 
 use crate::protocol::{read_frame, write_frame, FromServer, ToServer, PROTOCOL_VERSION};
 use diq_exp::{PointRecord, PointResult};
-use parking_lot::Mutex;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Worker tuning.
@@ -86,15 +85,14 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> io::Result<WorkerReport> 
     // disconnects (we drop `stop_tx` on the way out) or the socket dies —
     // and flags its death so the main loop knows the lease stopped being
     // renewed while it was busy computing.
-    let (stop_tx, stop_rx) = crossbeam::channel::unbounded::<()>();
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let hb_writer = Arc::clone(&writer);
     let hb_period = opts.heartbeat;
     let hb_dead = Arc::new(AtomicBool::new(false));
     let hb_dead_flag = Arc::clone(&hb_dead);
     let heartbeat = std::thread::spawn(move || {
-        use crossbeam::channel::RecvTimeoutError;
-        while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(hb_period) {
-            if write_frame(&mut *hb_writer.lock(), &ToServer::Heartbeat).is_err() {
+        while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(hb_period) {
+            if send(&hb_writer, &ToServer::Heartbeat).is_err() {
                 hb_dead_flag.store(true, Ordering::Release);
                 break;
             }
@@ -154,6 +152,12 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> io::Result<WorkerReport> 
     outcome.map(|()| WorkerReport { executed })
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &ToServer) -> io::Result<()> {
-    write_frame(&mut *writer.lock(), msg)
+/// Writes one frame under the socket lock. The lock keeps no data of its
+/// own, only the order of whole frames, so a poisoned lock is still safe
+/// to take.
+fn send(writer: &Mutex<TcpStream>, msg: &ToServer) -> io::Result<()> {
+    write_frame(
+        &mut *writer.lock().unwrap_or_else(PoisonError::into_inner),
+        msg,
+    )
 }

@@ -5,9 +5,8 @@ use diq_exp::Point;
 use diq_isa::ProcessorConfig;
 use diq_pipeline::SimStats;
 use diq_workload::WorkloadSpec;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Runs (scheme × benchmark) simulations, in parallel, caching results so
 /// every figure that needs the same run pays for it once.
@@ -97,12 +96,15 @@ impl Harness {
     /// apart.
     pub fn run(&self, sched: &SchedulerConfig, bench: &WorkloadSpec) -> Arc<SimStats> {
         let key = (sched.label(), bench.name.clone());
-        if let Some(hit) = self.cache.lock().get(&key) {
+        // The lock is held only across one map lookup or insert, so the
+        // cache is whole even if a thread panicked while holding it.
+        let cache = || self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = cache().get(&key) {
             return Arc::clone(hit);
         }
         let point = Point::new(self.cfg, sched.clone(), bench.clone(), self.instructions);
         let stats = Arc::new(point.execute());
-        self.cache.lock().insert(key, Arc::clone(&stats));
+        cache().insert(key, Arc::clone(&stats));
         stats
     }
 

@@ -65,8 +65,8 @@ trace-smoke:
 
 # The CI serve check, locally: a server and one worker in the background,
 # the smoke grid submitted twice (the second pass must be 100% dedup), the
-# served store compared byte-for-byte against an in-process sweep, then a
-# clean protocol shutdown.
+# served store and run manifest compared byte-for-byte against an
+# in-process sweep, then a clean protocol shutdown.
 serve-smoke:
     cargo build --release
     rm -rf serve-results swept-results
@@ -78,6 +78,7 @@ serve-smoke:
     jq -e '.computed == 0 and .cached == .total and .cache_hit_pct == 100' served2.json; \
     ./target/release/diq sweep experiments/ci_smoke.json --store swept-results --threads 1 > /dev/null; \
     cmp serve-results/store.jsonl swept-results/store.jsonl; \
+    cmp serve-results/runs/ci-smoke.json swept-results/runs/ci-smoke.json; \
     ./target/release/diq submit --shutdown; \
     wait
 

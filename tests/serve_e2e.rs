@@ -42,7 +42,6 @@ fn distributed_sweep_with_worker_crash_matches_single_process_sweep() {
         addr: "127.0.0.1:0".into(),
         store_dir: served_dir.clone(),
         lease: Duration::from_secs(10),
-        reap_every: Duration::from_millis(25),
         quiet: true,
     }
     .spawn()
@@ -239,4 +238,107 @@ fn submit_against_a_warm_store_is_pure_cache() {
     let after = ResultStore::open(&dir).unwrap().raw_bytes().unwrap();
     assert_eq!(after, before, "store untouched by a cache-only job");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Registers a raw worker connection and announces it idle.
+fn raw_worker(addr: &str, name: &str) -> TcpStream {
+    let mut sock = TcpStream::connect(addr).unwrap();
+    write_frame(
+        &mut sock,
+        &ToServer::Register {
+            name: name.into(),
+            protocol: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    let FromServer::Registered { .. } = read_frame(&mut sock).unwrap() else {
+        panic!("expected Registered");
+    };
+    write_frame(&mut sock, &ToServer::Idle).unwrap();
+    sock
+}
+
+#[test]
+fn a_shared_key_is_done_only_once_its_record_is_stored() {
+    // Job A owns gzip and swim, in that grid order; job B (swim only)
+    // rides on A's swim. When swim's result arrives first, A must hold the
+    // record back until gzip lands — and B must not report done, nor write
+    // its manifest, while swim is still outside the store: a shutdown at
+    // that point would lose the record B claims to have.
+    const SPEC_A: &str = r#"{"name":"order-a","instructions":[300],
+        "schemes":["MB_distr"],"workloads":["gzip","swim"]}"#;
+    const SPEC_B: &str = r#"{"name":"order-b","instructions":[300],
+        "schemes":["MB_distr"],"workloads":["swim"]}"#;
+    let dir = tmp_dir("order");
+    let handle = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: dir.clone(),
+        quiet: true,
+        ..ServeConfig::default()
+    }
+    .spawn()
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let mut workers = [raw_worker(&addr, "w0"), raw_worker(&addr, "w1")];
+
+    let mut client = Client::connect(&addr).unwrap();
+    let (job_a, view) = client.submit(SPEC_A, None).unwrap();
+    assert_eq!(view.computed, 2);
+    let (job_b, view) = client.submit(SPEC_B, None).unwrap();
+    assert_eq!((view.computed, view.cached), (0, 1));
+
+    // Each worker holds one of A's two points; find who holds which.
+    let mut leases = Vec::new();
+    for sock in &mut workers {
+        let FromServer::Assign { lease, point } = read_frame(&mut *sock).unwrap() else {
+            panic!("expected Assign");
+        };
+        leases.push((lease, point));
+    }
+    let deliver = |sock: &mut TcpStream, (lease, point): &(u64, Point)| {
+        let record = diq::exp::PointRecord {
+            key: point.key(),
+            result: diq::exp::PointResult::from_stats(point, &point.execute()),
+        };
+        write_frame(
+            sock,
+            &ToServer::Result {
+                lease: *lease,
+                record,
+            },
+        )
+        .unwrap();
+    };
+    let swim = usize::from(leases[1].1.benchmark() == "swim");
+    assert_eq!(leases[swim].1.benchmark(), "swim");
+    deliver(&mut workers[swim], &leases[swim]);
+    while handle.results_accepted() < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let store = ResultStore::open(&dir).unwrap();
+    assert!(store.load().unwrap().is_empty(), "swim waits for gzip");
+    assert!(
+        !client.status(job_b).unwrap().done,
+        "job B is not done while its record is held back"
+    );
+    assert!(store.read_manifest("order-b").is_err(), "no manifest yet");
+
+    // gzip lands: both records go out in A's grid order, then both jobs
+    // finish.
+    deliver(&mut workers[1 - swim], &leases[1 - swim]);
+    let poll = Duration::from_millis(5);
+    assert_eq!(client.watch(job_a, poll).unwrap().computed, 2);
+    assert_eq!(client.watch(job_b, poll).unwrap().cached, 1);
+    assert_eq!(store.load().unwrap().len(), 2);
+    assert_eq!(store.read_manifest("order-b").unwrap().points.len(), 1);
+
+    client.shutdown_server().unwrap();
+    handle.wait().unwrap();
+    let swept_dir = tmp_dir("order-swept");
+    let swept = ResultStore::open(&swept_dir).unwrap();
+    sweep(&ExperimentSpec::from_json(SPEC_A).unwrap(), &swept, 1).unwrap();
+    assert_eq!(store.raw_bytes().unwrap(), swept.raw_bytes().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&swept_dir);
 }
