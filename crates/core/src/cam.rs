@@ -9,11 +9,11 @@
 //! (8 banks × 8 entries for `IQ_64_64`) so only occupied banks see the
 //! broadcast; selection logic consumes nothing while the queue is empty.
 //!
-//! The *simulation* of that broadcast is event-driven: each array keeps a
-//! per-tag consumer list ([`WakeupMap`]) so a result touches only the
-//! entries listening for it, and entry state lives in a bitset-backed
-//! [`EntryStore`] so selection walks the `live & ready0 & ready1 & !held`
-//! word mask instead of rescanning the queue. The *energy* charged per
+//! The *simulation* of that broadcast is event-driven: each array's entries
+//! live in a bitset-backed [`EntryStore`], whose per-tag consumer lists
+//! ([`WakeupMap`](crate::wakeup)) let a result touch only the entries
+//! listening for it, and selection walks the `live & ready0 & ready1 &
+//! !held` word mask instead of rescanning the queue. The *energy* charged per
 //! broadcast is still the physical banked-CAM cost — occupied banks ×
 //! tag-line drive plus enabled comparators × match-line — where the
 //! comparator count is a popcount over the same bitsets ([`WakeupEvent`]
@@ -32,7 +32,7 @@ use crate::energy::{CamEnergy, IdleCharge};
 use crate::fifo::Entry;
 use crate::fu::FuTopology;
 use crate::soa::EntryStore;
-use crate::wakeup::{WakeupEvent, WakeupMap};
+use crate::wakeup::WakeupEvent;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig, RegClass};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -41,14 +41,10 @@ use diq_power::{Component, EnergyMeter, TechParams};
 #[derive(Clone, Debug)]
 struct CamArray {
     store: EntryStore,
-    /// `tag → [waiting (slot, operand)]`.
-    waiters: WakeupMap,
     capacity: usize,
     bank_entries: usize,
     /// Bank power-gating controller; `None` for the static geometry.
     ctrl: Option<BankController>,
-    /// Squash/cancel scratch (doomed slots), reused across recoveries.
-    doomed: Vec<u32>,
 }
 
 impl CamArray {
@@ -60,12 +56,10 @@ impl CamArray {
     ) -> Self {
         assert!(capacity > 0 && banks > 0);
         CamArray {
-            store: EntryStore::new(capacity),
-            waiters: WakeupMap::new(capacity, regs),
+            store: EntryStore::new(capacity, regs),
             capacity,
             bank_entries: capacity.div_ceil(banks),
             ctrl: adaptive.map(|a| BankController::new(a, capacity, banks)),
-            doomed: Vec::with_capacity(capacity),
         }
     }
 
@@ -80,84 +74,22 @@ impl CamArray {
         self.store.len().div_ceil(self.bank_entries)
     }
 
-    fn dispatch(&mut self, d: &DispatchInst) {
-        let e = Entry::new(d);
-        let slot = self.store.insert(&e);
-        for (i, ready) in e.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(e.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
-    }
-
-    /// An entry issued on a speculative operand: it leaves the selection
-    /// candidates but keeps its queue slot (the hardware does not
-    /// deallocate until the load is known to hit), waiting for the cancel.
-    fn hold(&mut self, slot: u32) {
-        self.store.set_held(slot);
-    }
-
-    /// Miss cancel for `tag`: every entry whose operand `tag` looked ready
-    /// reverts to waiting and re-listens for the real broadcast; held
-    /// entries return to normal queued state. A scan per cancel is fine —
-    /// cancels happen once per L1 miss, not per cycle.
+    /// Miss cancel for `tag` (see [`EntryStore::cancel`]), counted as
+    /// one feedback event by the bank controller.
     fn cancel(&mut self, tag: PhysReg) {
-        let mut doomed = std::mem::take(&mut self.doomed);
-        doomed.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            if store.srcs(slot).contains(&Some(tag)) {
-                doomed.push(slot);
-            }
-        });
-        for &slot in &doomed {
-            let srcs = self.store.srcs(slot);
-            for (i, src) in srcs.iter().enumerate() {
-                if *src == Some(tag) && self.store.is_ready(slot, i) {
-                    self.store.clear_ready(slot, i);
-                    self.waiters.listen(tag, slot, i);
-                }
-            }
-            self.store.clear_held(slot);
-        }
+        self.store.cancel(tag);
         if let Some(ctrl) = &mut self.ctrl {
             ctrl.note_feedback(1);
         }
-        self.doomed = doomed;
     }
 
-    /// Removes every entry with `id >= from` (wrong-path squash),
-    /// deregistering its wakeup consumers so no ghost wakeup can fire.
-    /// The doomed-slot scratch is reused, so recurring recoveries allocate
-    /// nothing steady-state.
+    /// Removes every entry with `id >= from` (wrong-path squash); the bank
+    /// controller counts each as a feedback event.
     fn squash(&mut self, from: InstId) {
-        let mut doomed = std::mem::take(&mut self.doomed);
-        doomed.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            if store.id(slot) >= from {
-                doomed.push(slot);
-            }
-        });
-        for &slot in &doomed {
-            // Held entries read fully ready with no registered waiters;
-            // unready operands still listen and must be deregistered.
-            if !self.store.all_ready(slot) {
-                let srcs = self.store.srcs(slot);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(slot, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), slot);
-                    }
-                }
-            }
-            self.store.remove(slot);
-        }
+        let doomed = self.store.remove_from(from);
         if let Some(ctrl) = &mut self.ctrl {
-            ctrl.note_feedback(doomed.len() as u64);
+            ctrl.note_feedback(doomed as u64);
         }
-        self.doomed = doomed;
     }
 
     /// Delivers `tag` to every listening comparator and reports the
@@ -169,11 +101,7 @@ impl CamArray {
             banks: self.active_banks(),
             comparators: self.store.unready_operand_count(),
         };
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            debug_assert!(!store.is_ready(w.slot, w.operand as usize), "double wakeup");
-            store.set_ready(w.slot, w.operand as usize);
-        });
+        self.store.wake(tag);
         event
     }
 }
@@ -273,7 +201,7 @@ impl Scheduler for CamIssueQueue {
         if array.store.len() >= array.effective_capacity() {
             return Err(DispatchStall::Full);
         }
-        array.dispatch(d);
+        array.store.insert(&Entry::new(d));
         self.meter
             .add(Component::Buff, self.energy_model.entry_write);
         Ok(())
@@ -324,7 +252,7 @@ impl Scheduler for CamIssueQueue {
                 // Both passes of a speculative issue pay the entry read and
                 // the operand muxing; only a confirmed issue frees the slot.
                 if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    array.hold(slot);
+                    array.store.set_held(slot);
                 } else {
                     array.store.remove(slot);
                 }

@@ -133,7 +133,6 @@ impl FifoEnergy {
     pub(crate) fn new(
         queue_entries: usize,
         n_queues: usize,
-        _phys_regs: usize,
         topology: &FuTopology,
         tech: &TechParams,
     ) -> Self {
@@ -318,7 +317,7 @@ mod tests {
     fn cam_wakeup_per_result_exceeds_fifo_bookkeeping() {
         let t = tech();
         let cam = CamEnergy::new(64, 8, &shared(), &t);
-        let fifo = FifoEnergy::new(8, 8, 160, &shared(), &t);
+        let fifo = FifoEnergy::new(8, 8, &shared(), &t);
         // One result broadcast across 8 banks with ~16 unready operands
         // listening, versus one ready-bit write.
         let wakeup = 8.0 * cam.bank_broadcast + 16.0 * cam.matchline;

@@ -1,18 +1,25 @@
-//! Palacharla-style FIFO issue queues (`IssueFIFO`), and the shared FIFO
-//! machinery reused by the integer side of `LatFIFO` and `MixBUFF`.
+//! Palacharla-style FIFO issue queues (`IssueFIFO`), and the FIFO machinery
+//! every FIFO side shares:
 //!
-//! Entries live in a bitset-backed [`EntryStore`] and carry their own ready
-//! bits, maintained by the per-tag consumer lists of [`WakeupMap`]: a result
-//! broadcast flips only the bits of entries actually waiting for that tag,
-//! so head-readiness at issue is a bit test instead of a scoreboard poll.
-//! The *energy* model is unchanged — heads are still charged a `regs_ready`
-//! read per operand per cycle, exactly as the physical design polls the
-//! scoreboard.
+//! * [`FifoQueues`] — ordered slot queues over one pooled [`EntryStore`]
+//!   (push, heads, hold, pop, suffix squash). IssueFIFO's two sides,
+//!   LatFIFO's two sides and MixBUFF's integer side are all one of these;
+//! * [`FifoArray`] — the queues plus the paper's dependence-based
+//!   [`Steering`] (IssueFIFO, and the integer side of LatFIFO and MixBUFF);
+//! * [`issue_heads`] — the one head-selection pass all of them run. It
+//!   tells its caller which queues its pops left empty, the one event the
+//!   steering table needs from it.
+//!
+//! Entries carry their own ready bits, maintained by the store's per-tag
+//! consumer lists: a result broadcast flips only the bits of entries
+//! actually waiting for that tag, so head-readiness at issue is a bit test
+//! instead of a scoreboard poll. The *energy* model is unchanged — heads
+//! are still charged a `regs_ready` read per operand per cycle, exactly as
+//! the physical design polls the scoreboard.
 
 use crate::energy::{FifoEnergy, IdleCharge};
 use crate::fu::FuTopology;
 use crate::soa::EntryStore;
-use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{ArchReg, Cycle, InstId, OpClass, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -58,53 +65,29 @@ impl Entry {
     }
 }
 
-/// An array of FIFO queues for one side of the machine, with the paper's
-/// dependence-based steering:
-///
-/// 1. if a queue's **tail** produces the first operand, append there (stall
-///    if it is full and the instruction has no second operand);
-/// 2. else if a queue's tail produces the second operand, append there
-///    (stall if full);
-/// 3. else append to an empty queue (stall if none).
-///
-/// The steering table maps architectural registers to the queue whose tail
-/// is their producer, exactly the structure the paper describes; it is
-/// cleared on branch mispredictions.
+/// Ordered FIFO queues of slots over one pooled [`EntryStore`]: the part
+/// every FIFO side shares, however it places entries. Entries within a
+/// queue are in dispatch (age) order; only a queue's head may issue.
 #[derive(Clone, Debug)]
-pub(crate) struct FifoArray {
-    side: Side,
+pub(crate) struct FifoQueues {
     store: EntryStore,
     queues: Vec<VecDeque<u32>>,
-    waiters: WakeupMap,
     capacity: usize,
-    /// arch-reg flat index → (queue, producing instruction).
-    steer: Vec<Option<(usize, InstId)>>,
-    /// Per queue: the architectural register produced by the tail.
-    tail_reg: Vec<Option<ArchReg>>,
-    /// Per queue: the tail instruction.
-    tail_id: Vec<Option<InstId>>,
-    /// Cancel scratch (`(slot, operand)` pairs), reused across miss
-    /// cancels so recurring misses allocate nothing steady-state.
-    cancel_scratch: Vec<(u32, usize)>,
 }
 
-impl FifoArray {
-    pub(crate) fn new(side: Side, queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
+impl FifoQueues {
+    pub(crate) fn new(queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
         assert!(queues > 0 && capacity > 0);
-        FifoArray {
-            side,
+        FifoQueues {
             // Each queue holds at most `capacity` entries, so the store is
             // sized for the whole array up front.
-            store: EntryStore::new(queues * capacity),
+            store: EntryStore::new(queues * capacity, regs),
+            // Built per queue (not `vec![..; queues]`) so the cloned
+            // VecDeques keep their reserved capacity.
             queues: (0..queues)
                 .map(|_| VecDeque::with_capacity(capacity))
                 .collect(),
-            waiters: WakeupMap::new(queues * capacity, regs),
             capacity,
-            steer: vec![None; 2 * diq_isa::ARCH_REGS_PER_CLASS],
-            tail_reg: vec![None; queues],
-            tail_id: vec![None; queues],
-            cancel_scratch: Vec::new(),
         }
     }
 
@@ -112,68 +95,29 @@ impl FifoArray {
         self.store.len()
     }
 
-    fn place(&mut self, q: usize, d: &DispatchInst) {
-        if let Some(old) = self.tail_reg[q].take() {
-            self.steer[old.flat_index()] = None;
-        }
-        let entry = Entry::new(d);
-        let slot = self.store.insert(&entry);
-        for (i, ready) in entry.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(entry.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
+    /// Number of queues.
+    pub(crate) fn count(&self) -> usize {
+        self.queues.len()
+    }
+
+    pub(crate) fn is_full(&self, q: usize) -> bool {
+        self.queues[q].len() >= self.capacity
+    }
+
+    pub(crate) fn first_empty(&self) -> Option<usize> {
+        self.queues.iter().position(VecDeque::is_empty)
+    }
+
+    /// The slot of queue `q`'s tail entry.
+    pub(crate) fn tail(&self, q: usize) -> Option<u32> {
+        self.queues[q].back().copied()
+    }
+
+    /// Appends `d` to queue `q` and returns its slot.
+    pub(crate) fn push(&mut self, q: usize, d: &DispatchInst) -> u32 {
+        let slot = self.store.insert(&Entry::new(d));
         self.queues[q].push_back(slot);
-        self.tail_id[q] = Some(d.id);
-        if let Some(dst) = d.dst_arch {
-            self.steer[dst.flat_index()] = Some((q, d.id));
-            self.tail_reg[q] = Some(dst);
-        } else {
-            self.tail_reg[q] = None;
-        }
-    }
-
-    /// The steering decision, without placing. `Ok(queue)` or a stall.
-    fn steer_queue(&self, d: &DispatchInst) -> Result<usize, DispatchStall> {
-        let n_srcs = d.src_arch.iter().flatten().count();
-        // Rule 1: first operand's producer at a tail.
-        if let Some(r) = d.src_arch[0] {
-            if let Some((q, pid)) = self.steer[r.flat_index()] {
-                if self.tail_id[q] == Some(pid) {
-                    if self.queues[q].len() < self.capacity {
-                        return Ok(q);
-                    }
-                    if n_srcs == 1 {
-                        return Err(DispatchStall::QueueFull);
-                    }
-                    // Two operands: fall through to the second operand rule.
-                }
-            }
-        }
-        // Rule 2: second operand's producer at a tail.
-        if let Some(r) = d.src_arch[1] {
-            if let Some((q, pid)) = self.steer[r.flat_index()] {
-                if self.tail_id[q] == Some(pid) {
-                    if self.queues[q].len() < self.capacity {
-                        return Ok(q);
-                    }
-                    return Err(DispatchStall::QueueFull);
-                }
-            }
-        }
-        // Rule 3: an empty queue.
-        self.queues
-            .iter()
-            .position(VecDeque::is_empty)
-            .ok_or(DispatchStall::NoEmptyQueue)
-    }
-
-    /// Steers and places one instruction.
-    pub(crate) fn try_dispatch(&mut self, d: &DispatchInst) -> Result<usize, DispatchStall> {
-        let q = self.steer_queue(d)?;
-        self.place(q, d);
-        Ok(q)
+        slot
     }
 
     /// Head candidates: `(queue, entry)` for each non-empty queue whose
@@ -191,100 +135,206 @@ impl FifoArray {
 
     /// Marks the head of queue `q` as held after a speculative issue: it
     /// keeps its slot (dispatch still sees a full entry) but stops being a
-    /// selection candidate until [`cancel`](Self::cancel) reverts it.
+    /// selection candidate until a cancel reverts it.
     pub(crate) fn hold_head(&mut self, q: usize) {
         let &slot = self.queues[q].front().expect("hold on empty FIFO");
         self.store.set_held(slot);
     }
 
-    /// Miss cancel for `tag`: every entry whose operand `tag` looked ready
-    /// reverts to waiting and re-listens for the real broadcast; held
-    /// entries become normal queued entries again. Runs once per L1 miss.
-    pub(crate) fn cancel(&mut self, tag: PhysReg) {
-        let mut todo = std::mem::take(&mut self.cancel_scratch);
-        todo.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            for (i, src) in store.srcs(slot).iter().enumerate() {
-                if *src == Some(tag) && store.is_ready(slot, i) {
-                    todo.push((slot, i));
-                }
-            }
-        });
-        for &(slot, i) in &todo {
-            self.store.clear_ready(slot, i);
-            self.store.clear_held(slot);
-            self.waiters.listen(tag, slot, i);
-        }
-        self.cancel_scratch = todo;
+    /// Removes the head of queue `q` after it issued; `true` when that
+    /// leaves the queue empty.
+    pub(crate) fn pop_head(&mut self, q: usize) -> bool {
+        let slot = self.queues[q].pop_front().expect("pop from empty FIFO");
+        self.store.remove(slot);
+        self.queues[q].is_empty()
     }
 
-    /// Removes the head of queue `q` after it issued.
-    pub(crate) fn pop_head(&mut self, q: usize) -> Entry {
-        let slot = self.queues[q].pop_front().expect("pop from empty FIFO");
-        let e = self.store.snapshot(slot);
-        self.store.remove(slot);
-        if self.tail_id[q] == Some(e.id) {
-            // The queue is now empty; drop its steering state.
-            if let Some(r) = self.tail_reg[q].take() {
-                self.steer[r.flat_index()] = None;
+    /// Wrong-path squash: the doomed entries are a suffix of each queue,
+    /// so they are popped from the back.
+    pub(crate) fn squash(&mut self, from: InstId) {
+        for queue in &mut self.queues {
+            while let Some(&back) = queue.back() {
+                if self.store.id(back) < from {
+                    break;
+                }
+                queue.pop_back();
+                self.store.remove(back);
             }
-            self.tail_id[q] = None;
         }
-        e
     }
 
     /// Delivers a produced tag to the entries waiting for it (any position
     /// in any queue — buried entries collect their ready bits while they
     /// wait their turn at the head).
     pub(crate) fn wake(&mut self, tag: PhysReg) {
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            store.set_ready(w.slot, w.operand as usize);
-        });
+        self.store.wake(tag);
     }
 
-    /// Wrong-path squash: entries within a FIFO are in dispatch (age) order,
-    /// so the doomed entries are a suffix of each queue — pop them from the
-    /// back, deregistering their wakeup consumers. The steering table is
-    /// wiped (recovery clears Qrename, as on any mispredict) and each
-    /// queue's tail identity is re-anchored on the surviving tail.
-    pub(crate) fn squash(&mut self, from: InstId) {
-        for q in 0..self.queues.len() {
-            while let Some(&back) = self.queues[q].back() {
-                if self.store.id(back) < from {
-                    break;
-                }
-                self.queues[q].pop_back();
-                let srcs = self.store.srcs(back);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(back, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), back);
-                    }
-                }
-                self.store.remove(back);
+    /// Miss cancel for `tag` (see [`EntryStore::cancel`]).
+    pub(crate) fn cancel(&mut self, tag: PhysReg) {
+        self.store.cancel(tag);
+    }
+}
+
+/// One cycle of FIFO head selection, the same for every FIFO side:
+/// every head polls the scoreboard (charged whether ready or not), the
+/// ready heads are offered to the sink oldest first, and each one it takes
+/// is held in place if it issued on a speculative operand (the possible
+/// replay needs it) or popped otherwise; both pay the FIFO read and the
+/// operand mux. `sides` holds the integer and FP queues, `None` for a side
+/// that is not a FIFO; `emptied(side, q)` hears of each queue a pop leaves
+/// empty (dependence steering forgets that queue's tail).
+pub(crate) fn issue_heads(
+    mut sides: [Option<&mut FifoQueues>; 2],
+    energy: &[FifoEnergy; 2],
+    meter: &mut EnergyMeter,
+    candidates: &mut Vec<(u64, Side, usize, Entry)>,
+    sink: &mut dyn IssueSink,
+    mut emptied: impl FnMut(Side, usize),
+) {
+    candidates.clear();
+    for (side, fifo) in [Side::Int, Side::Fp].into_iter().zip(&sides) {
+        let Some(fifo) = fifo else { continue };
+        let em = energy[side.index()];
+        for (q, e) in fifo.heads() {
+            meter.add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
+            if e.all_ready() {
+                candidates.push((e.id.0, side, q, e));
             }
-            self.tail_id[q] = self.queues[q].back().map(|&s| self.store.id(s));
         }
-        self.clear_steering();
+    }
+    candidates.sort_unstable_by_key(|c| c.0);
+    for &(_, side, q, e) in candidates.iter() {
+        if sink.try_issue(e.id, e.op, Some((side, q))) {
+            let fifo = sides[side.index()].as_deref_mut().expect("a FIFO side");
+            if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
+                fifo.hold_head(q);
+            } else if fifo.pop_head(q) {
+                emptied(side, q);
+            }
+            let em = energy[side.index()];
+            meter.add(Component::Fifo, em.fifo_read);
+            let (mux, pj) = em.mux.event(e.op);
+            meter.add(mux, pj);
+        }
+    }
+}
+
+/// The paper's dependence-based steering for one side's FIFOs:
+///
+/// 1. if a queue's **tail** produces the first operand, append there (stall
+///    if it is full and the instruction has no second operand);
+/// 2. else if a queue's tail produces the second operand, append there
+///    (stall if full);
+/// 3. else append to an empty queue (stall if none).
+///
+/// The steering table maps architectural registers to the queue whose tail
+/// is their producer, exactly the structure the paper describes; it is
+/// cleared on branch mispredictions.
+#[derive(Clone, Debug)]
+pub(crate) struct Steering {
+    /// arch-reg flat index → (queue, producing instruction).
+    table: Vec<Option<(usize, InstId)>>,
+    /// Per queue: the architectural register produced by the tail.
+    tail_reg: Vec<Option<ArchReg>>,
+}
+
+impl Steering {
+    fn new(queues: usize) -> Self {
+        Steering {
+            table: vec![None; 2 * diq_isa::ARCH_REGS_PER_CLASS],
+            tail_reg: vec![None; queues],
+        }
+    }
+
+    /// The steering decision for `d` over `fifo`: `Ok(queue)` or a stall.
+    fn choose(&self, fifo: &FifoQueues, d: &DispatchInst) -> Result<usize, DispatchStall> {
+        let at_tail = |q: usize, pid| fifo.tail(q).map(|slot| fifo.store.id(slot)) == Some(pid);
+        let n_srcs = d.src_arch.iter().flatten().count();
+        // Rule 1: first operand's producer at a tail.
+        if let Some(r) = d.src_arch[0] {
+            if let Some((q, pid)) = self.table[r.flat_index()] {
+                if at_tail(q, pid) {
+                    if !fifo.is_full(q) {
+                        return Ok(q);
+                    }
+                    if n_srcs == 1 {
+                        return Err(DispatchStall::QueueFull);
+                    }
+                    // Two operands: fall through to the second operand rule.
+                }
+            }
+        }
+        // Rule 2: second operand's producer at a tail.
+        if let Some(r) = d.src_arch[1] {
+            if let Some((q, pid)) = self.table[r.flat_index()] {
+                if at_tail(q, pid) {
+                    if !fifo.is_full(q) {
+                        return Ok(q);
+                    }
+                    return Err(DispatchStall::QueueFull);
+                }
+            }
+        }
+        // Rule 3: an empty queue.
+        fifo.first_empty().ok_or(DispatchStall::NoEmptyQueue)
+    }
+
+    /// Records `d` as the new tail of queue `q`.
+    fn placed(&mut self, q: usize, d: &DispatchInst) {
+        if let Some(old) = self.tail_reg[q].take() {
+            self.table[old.flat_index()] = None;
+        }
+        if let Some(dst) = d.dst_arch {
+            self.table[dst.flat_index()] = Some((q, d.id));
+            self.tail_reg[q] = Some(dst);
+        }
+    }
+
+    /// Queue `q` issued its last entry: its tail register's mapping goes.
+    pub(crate) fn emptied(&mut self, q: usize) {
+        if let Some(r) = self.tail_reg[q].take() {
+            self.table[r.flat_index()] = None;
+        }
     }
 
     /// Clears the steering table (mispredict recovery, as in the paper).
-    pub(crate) fn clear_steering(&mut self) {
-        self.steer.iter_mut().for_each(|s| *s = None);
+    pub(crate) fn clear(&mut self) {
+        self.table.iter_mut().for_each(|s| *s = None);
         self.tail_reg.iter_mut().for_each(|s| *s = None);
-        // tail_id stays: it only matters together with `steer`, which is
-        // now empty; it will be rebuilt by subsequent placements.
+    }
+}
+
+/// An array of FIFO queues for one side of the machine, placed by
+/// [`Steering`].
+#[derive(Clone, Debug)]
+pub(crate) struct FifoArray {
+    pub(crate) fifo: FifoQueues,
+    pub(crate) steering: Steering,
+}
+
+impl FifoArray {
+    pub(crate) fn new(queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
+        FifoArray {
+            fifo: FifoQueues::new(queues, capacity, regs),
+            steering: Steering::new(queues),
+        }
     }
 
-    pub(crate) fn side(&self) -> Side {
-        self.side
+    /// Steers and places one instruction.
+    pub(crate) fn try_dispatch(&mut self, d: &DispatchInst) -> Result<usize, DispatchStall> {
+        let q = self.steering.choose(&self.fifo, d)?;
+        self.fifo.push(q, d);
+        self.steering.placed(q, d);
+        Ok(q)
     }
 
-    #[cfg(test)]
-    fn queue_len(&self, q: usize) -> usize {
-        self.queues[q].len()
+    /// Wrong-path squash of the queues. The steering table is wiped
+    /// (recovery clears Qrename, as on any mispredict); each queue's tail
+    /// is whatever entry survives.
+    pub(crate) fn squash(&mut self, from: InstId) {
+        self.fifo.squash(from);
+        self.steering.clear();
     }
 }
 
@@ -332,11 +382,11 @@ impl IssueFifo {
         let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         IssueFifo {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
-            fp: FifoArray::new(Side::Fp, fp.0, fp.1, regs),
+            int: FifoArray::new(int.0, int.1, regs),
+            fp: FifoArray::new(fp.0, fp.1, regs),
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             meter: EnergyMeter::new(),
             topology,
@@ -347,13 +397,6 @@ impl IssueFifo {
                 (Component::RegsReady, int.0 + fp.0),
                 (Component::Qrename, 1),
             ]),
-        }
-    }
-
-    fn array(&mut self, side: Side) -> &mut FifoArray {
-        match side {
-            Side::Int => &mut self.int,
-            Side::Fp => &mut self.fp,
         }
     }
 }
@@ -371,57 +414,40 @@ impl Scheduler for IssueFifo {
         let reads = d.src_arch.iter().flatten().count() as u64;
         self.meter
             .add_events(Component::Qrename, reads, em.qrename_read);
-        self.array(side).try_dispatch(d)?;
+        match side {
+            Side::Int => &mut self.int,
+            Side::Fp => &mut self.fp,
+        }
+        .try_dispatch(d)?;
         self.meter.add(Component::Qrename, em.qrename_write);
         self.meter.add(Component::Fifo, em.fifo_write);
         Ok(())
     }
 
     fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        // Gather ready heads from both sides, oldest first, and let the sink
-        // arbitrate width and functional units.
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        for array in [&self.int, &self.fp] {
-            let em = self.energy_model[array.side().index()];
-            for (q, e) in array.heads() {
-                // Heads read the scoreboard every cycle, ready or not.
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, array.side(), q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, side, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let em = self.energy_model[side.index()];
-                // A speculative issue keeps the entry in place (held) for
-                // the possible replay; both passes pay the FIFO read.
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.array(side).hold_head(q);
-                } else {
-                    self.array(side).pop_head(q);
-                }
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-        self.candidates = candidates;
+        issue_heads(
+            [Some(&mut self.int.fifo), Some(&mut self.fp.fifo)],
+            &self.energy_model,
+            &mut self.meter,
+            &mut self.candidates,
+            sink,
+            |side, q| match side {
+                Side::Int => self.int.steering.emptied(q),
+                Side::Fp => self.fp.steering.emptied(q),
+            },
+        );
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
-        self.fp.wake(dst);
+        self.int.fifo.wake(dst);
+        self.fp.fifo.wake(dst);
     }
 
     fn on_mispredict(&mut self) {
-        self.int.clear_steering();
-        self.fp.clear_steering();
+        self.int.steering.clear();
+        self.fp.steering.clear();
     }
 
     fn squash(&mut self, from: InstId) {
@@ -430,12 +456,12 @@ impl Scheduler for IssueFifo {
     }
 
     fn cancel(&mut self, tag: PhysReg) {
-        self.int.cancel(tag);
-        self.fp.cancel(tag);
+        self.int.fifo.cancel(tag);
+        self.fp.fifo.cancel(tag);
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        (self.int.len(), self.fp.len())
+        (self.int.fifo.len(), self.fp.fifo.len())
     }
 
     fn energy(&self) -> &EnergyMeter {
@@ -452,9 +478,11 @@ impl Scheduler for IssueFifo {
     /// table reads are charged even though it is rejected again.
     fn idle_until(&mut self, now: Cycle, limit: Cycle, stalled: Option<&DispatchInst>) -> Cycle {
         self.idle.clear();
-        for array in [&self.int, &self.fp] {
-            self.idle
-                .push_head_polls(array.heads(), &self.energy_model[array.side().index()]);
+        for (fifo, em) in [&self.int.fifo, &self.fp.fifo]
+            .into_iter()
+            .zip(&self.energy_model)
+        {
+            self.idle.push_head_polls(fifo.heads(), em);
         }
         if let Some(d) = stalled {
             self.idle.push_steering_reads(d, &self.energy_model);
@@ -470,7 +498,7 @@ mod tests {
     use crate::test_util::{di, BoundedSink};
 
     fn arr() -> FifoArray {
-        FifoArray::new(Side::Int, 4, 2, [512, 512])
+        FifoArray::new(4, 2, [512, 512])
     }
 
     #[test]
@@ -482,7 +510,7 @@ mod tests {
         let c = di(2, OpClass::IntAlu, Some(4), [Some(3), None]);
         let q2 = a.try_dispatch(&c).unwrap();
         assert_eq!(q1, q2);
-        assert_eq!(a.queue_len(q1), 2);
+        assert_eq!(a.fifo.queues[q1].len(), 2);
     }
 
     #[test]
@@ -550,10 +578,11 @@ mod tests {
             .try_dispatch(&di(1, OpClass::IntAlu, Some(3), [None, None]))
             .unwrap();
         // Producer issues and leaves; queue q0 becomes empty.
-        a.pop_head(q0);
+        assert!(a.fifo.pop_head(q0));
+        a.steering.emptied(q0);
         // Consumer of r3 must now take an empty queue (possibly the same
         // one), via rule 3 — the steering entry is gone.
-        assert!(a.steer[ArchReg::int(3).flat_index()].is_none());
+        assert!(a.steering.table[ArchReg::int(3).flat_index()].is_none());
         a.try_dispatch(&di(2, OpClass::IntAlu, Some(4), [Some(3), None]))
             .unwrap();
     }
@@ -568,8 +597,8 @@ mod tests {
             .unwrap();
         // r3's producer is no longer the tail of q (inst 2 is): a new
         // consumer of r3 cannot join the chain mid-queue.
-        assert!(a.steer[ArchReg::int(3).flat_index()].is_none());
-        assert_eq!(a.tail_reg[q], Some(ArchReg::int(4)));
+        assert!(a.steering.table[ArchReg::int(3).flat_index()].is_none());
+        assert_eq!(a.steering.tail_reg[q], Some(ArchReg::int(4)));
     }
 
     #[test]
@@ -577,9 +606,9 @@ mod tests {
         let mut a = arr();
         a.try_dispatch(&di(1, OpClass::IntAlu, Some(3), [None, None]))
             .unwrap();
-        a.clear_steering();
-        assert_eq!(a.len(), 1);
-        assert!(a.steer.iter().all(Option::is_none));
+        a.steering.clear();
+        assert_eq!(a.fifo.len(), 1);
+        assert!(a.steering.table.iter().all(Option::is_none));
     }
 
     #[test]
@@ -592,9 +621,9 @@ mod tests {
         let q = a
             .try_dispatch(&di(2, OpClass::IntAlu, Some(4), [Some(3), None]))
             .unwrap();
-        a.wake(PhysReg::new(diq_isa::RegClass::Int, 3));
-        a.pop_head(q);
-        let (_, head) = a.heads().next().unwrap();
+        a.fifo.wake(PhysReg::new(diq_isa::RegClass::Int, 3));
+        a.fifo.pop_head(q);
+        let (_, head) = a.fifo.heads().next().unwrap();
         assert_eq!(head.id, InstId(2));
         assert!(head.all_ready(), "buried entry collected its wakeup");
     }

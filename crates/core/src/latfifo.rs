@@ -4,122 +4,58 @@
 //! `IssueFIFO`. FP instructions are placed by *estimated issue time*
 //! (Section 3.1): among the non-full queues whose tail is expected to issue
 //! at least one cycle before this instruction, pick the one whose tail
-//! issues latest; otherwise an empty queue; otherwise stall. Issue still
-//! takes each queue's head, checking the ready-bit scoreboard — modelled
-//! event-driven: entries carry ready bits flipped by per-tag wakeup, while
-//! the energy model still charges the per-cycle scoreboard polls.
+//! issues latest; otherwise an empty queue; otherwise stall. That placement
+//! is the only thing LatFIFO adds: its FP queues are the shared
+//! [`FifoQueues`] plus each entry's estimate, and issue is the shared
+//! [`issue_heads`] pass over both sides — each queue's head, checking the
+//! ready-bit scoreboard, modelled event-driven (entries carry ready bits
+//! flipped by per-tag wakeup, while the energy model still charges the
+//! per-cycle scoreboard polls).
 
 use crate::energy::{FifoEnergy, IdleCharge};
 use crate::estimate::IssueTimeEstimator;
-use crate::fifo::{Entry, FifoArray};
+use crate::fifo::{issue_heads, Entry, FifoArray, FifoQueues};
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
-use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
-use std::collections::VecDeque;
 
-/// FP FIFOs placed by estimated issue time.
+/// FP FIFOs placed by estimated issue time: the shared FIFO queues plus
+/// each entry's issue estimate.
 #[derive(Clone, Debug)]
 struct LatQueues {
-    store: EntryStore,
-    queues: Vec<VecDeque<u32>>,
-    /// Each entry's issue estimate, parallel to `queues` — placement only
-    /// needs the tails', but a wrong-path squash must re-anchor `tail_est`
-    /// on whatever entry survives as the new tail.
-    ests: Vec<VecDeque<Cycle>>,
-    waiters: WakeupMap,
-    capacity: usize,
-    /// Estimated issue cycle of each queue's tail (`None` when empty).
-    tail_est: Vec<Option<Cycle>>,
-    /// Cancel scratch, reused so recurring misses allocate nothing.
-    cancel_scratch: Vec<(u32, usize)>,
+    fifo: FifoQueues,
+    /// Each entry's issue estimate, by slot. Placement only needs the
+    /// tails', but after a pop or a wrong-path squash the new tail's must
+    /// still be there.
+    est: Box<[Cycle]>,
 }
 
 impl LatQueues {
     fn new(queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
-        assert!(queues > 0 && capacity > 0);
         LatQueues {
-            store: EntryStore::new(queues * capacity),
-            // Built per-queue (not `vec![..; queues]`) so the cloned
-            // VecDeques keep their reserved capacity.
-            queues: (0..queues)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            ests: (0..queues)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            waiters: WakeupMap::new(queues * capacity, regs),
-            capacity,
-            tail_est: vec![None; queues],
-            cancel_scratch: Vec::new(),
+            fifo: FifoQueues::new(queues, capacity, regs),
+            est: vec![0; queues * capacity].into_boxed_slice(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.store.len()
+    /// Estimated issue cycle of queue `q`'s tail (`None` when empty).
+    fn tail_est(&self, q: usize) -> Option<Cycle> {
+        self.fifo.tail(q).map(|slot| self.est[slot as usize])
     }
 
     fn try_dispatch(&mut self, d: &DispatchInst, est: Cycle) -> Result<usize, DispatchStall> {
         // Non-full queues whose tail is expected to issue ≥1 cycle earlier;
         // among them, the latest tail ("leaves more opportunities for
         // younger instructions").
-        let q = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(i, q)| q.len() < self.capacity && self.tail_est[*i].is_some_and(|t| t < est))
-            .max_by_key(|(i, _)| self.tail_est[*i])
-            .map(|(i, _)| i)
-            .or_else(|| self.queues.iter().position(VecDeque::is_empty));
-        let q = q.ok_or(DispatchStall::NoEmptyQueue)?;
-        let entry = Entry::new(d);
-        let slot = self.store.insert(&entry);
-        for (i, ready) in entry.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(entry.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
-        self.queues[q].push_back(slot);
-        self.ests[q].push_back(est);
-        self.tail_est[q] = Some(est);
+        let q = (0..self.fifo.count())
+            .filter(|&q| !self.fifo.is_full(q) && self.tail_est(q).is_some_and(|t| t < est))
+            .max_by_key(|&q| self.tail_est(q))
+            .or_else(|| self.fifo.first_empty())
+            .ok_or(DispatchStall::NoEmptyQueue)?;
+        let slot = self.fifo.push(q, d);
+        self.est[slot as usize] = est;
         Ok(q)
-    }
-
-    fn pop_head(&mut self, q: usize) -> Entry {
-        let slot = self.queues[q].pop_front().expect("pop from empty queue");
-        self.ests[q].pop_front();
-        let e = self.store.snapshot(slot);
-        self.store.remove(slot);
-        if self.queues[q].is_empty() {
-            self.tail_est[q] = None;
-        }
-        e
-    }
-
-    /// Wrong-path squash: drop the doomed suffix of each queue and restore
-    /// `tail_est` from the surviving tail's recorded estimate.
-    fn squash(&mut self, from: InstId) {
-        for q in 0..self.queues.len() {
-            while let Some(&back) = self.queues[q].back() {
-                if self.store.id(back) < from {
-                    break;
-                }
-                self.queues[q].pop_back();
-                self.ests[q].pop_back();
-                let srcs = self.store.srcs(back);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(back, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), back);
-                    }
-                }
-                self.store.remove(back);
-            }
-            self.tail_est[q] = self.ests[q].back().copied();
-        }
     }
 
     /// The first cycle at which an FP instruction rejected at dispatch can
@@ -129,55 +65,10 @@ impl LatQueues {
     /// at least `now + 1`, so the first non-full tail estimate `t` is
     /// overtaken at cycle `t`. `None` when every queue is full.
     fn next_placement(&self) -> Option<Cycle> {
-        self.queues
-            .iter()
-            .zip(&self.tail_est)
-            .filter(|(q, _)| q.len() < self.capacity)
-            .filter_map(|(_, &t)| t)
+        (0..self.fifo.count())
+            .filter(|&q| !self.fifo.is_full(q))
+            .filter_map(|q| self.tail_est(q))
             .min()
-    }
-
-    fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues.iter().enumerate().filter_map(|(q, fifo)| {
-            fifo.front()
-                .filter(|&&slot| !self.store.is_held(slot))
-                .map(|&slot| (q, self.store.snapshot(slot)))
-        })
-    }
-
-    /// Marks the head of queue `q` as held after a speculative issue (see
-    /// [`FifoArray::hold_head`](crate::fifo) for the protocol).
-    fn hold_head(&mut self, q: usize) {
-        let &slot = self.queues[q].front().expect("hold on empty queue");
-        self.store.set_held(slot);
-    }
-
-    /// Miss cancel for `tag`: revert speculative readiness, re-listen, and
-    /// return held entries to normal queued state.
-    fn cancel(&mut self, tag: PhysReg) {
-        let mut todo = std::mem::take(&mut self.cancel_scratch);
-        todo.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            for (i, src) in store.srcs(slot).iter().enumerate() {
-                if *src == Some(tag) && store.is_ready(slot, i) {
-                    todo.push((slot, i));
-                }
-            }
-        });
-        for &(slot, i) in &todo {
-            self.store.clear_ready(slot, i);
-            self.store.clear_held(slot);
-            self.waiters.listen(tag, slot, i);
-        }
-        self.cancel_scratch = todo;
-    }
-
-    fn wake(&mut self, tag: PhysReg) {
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            store.set_ready(w.slot, w.operand as usize);
-        });
     }
 }
 
@@ -222,12 +113,12 @@ impl LatFifo {
         let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         LatFifo {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
+            int: FifoArray::new(int.0, int.1, regs),
             fp: LatQueues::new(fp.0, fp.1, regs),
             estimator: IssueTimeEstimator::new(cfg.lat, cfg.mem.dl1.latency),
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             meter: EnergyMeter::new(),
             topology,
@@ -276,81 +167,50 @@ impl Scheduler for LatFifo {
     }
 
     fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, Side::Int, q, e));
+        issue_heads(
+            [Some(&mut self.int.fifo), Some(&mut self.fp.fifo)],
+            &self.energy_model,
+            &mut self.meter,
+            &mut self.candidates,
+            sink,
+            |side, q| {
+                if side == Side::Int {
+                    self.int.steering.emptied(q);
                 }
-            }
-        }
-        {
-            let em = self.energy_model[Side::Fp.index()];
-            for (q, e) in self.fp.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, Side::Fp, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, side, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let spec = e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r));
-                match (side, spec) {
-                    (Side::Int, false) => {
-                        self.int.pop_head(q);
-                    }
-                    (Side::Int, true) => self.int.hold_head(q),
-                    (Side::Fp, false) => {
-                        self.fp.pop_head(q);
-                    }
-                    (Side::Fp, true) => self.fp.hold_head(q),
-                }
-                let em = self.energy_model[side.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-        self.candidates = candidates;
+            },
+        );
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
-        self.fp.wake(dst);
+        self.int.fifo.wake(dst);
+        self.fp.fifo.wake(dst);
     }
 
     fn on_mispredict(&mut self) {
-        self.int.clear_steering();
+        self.int.steering.clear();
         // FP placement uses estimates, not register steering; nothing to
         // clear there (estimates are heuristic and survive mispredictions).
     }
 
     fn squash(&mut self, from: InstId) {
         self.int.squash(from);
-        self.fp.squash(from);
+        self.fp.fifo.squash(from);
         // The issue-time estimator keeps whatever the wrong path taught it:
         // it is a heuristic table indexed by architectural register, exactly
         // like a real latency predictor polluted by squashed work.
     }
 
     fn cancel(&mut self, tag: PhysReg) {
-        self.int.cancel(tag);
-        self.fp.cancel(tag);
+        self.int.fifo.cancel(tag);
+        self.fp.fifo.cancel(tag);
         // The estimator likewise keeps its hit-assuming estimate — it is
         // exactly the predictor whose misprediction the replay pays for.
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        (self.int.len(), self.fp.len())
+        (self.int.fifo.len(), self.fp.fifo.len())
     }
 
     fn energy(&self) -> &EnergyMeter {
@@ -376,10 +236,12 @@ impl Scheduler for LatFifo {
             _ => limit,
         };
         self.idle.clear();
-        self.idle
-            .push_head_polls(self.int.heads(), &self.energy_model[Side::Int.index()]);
-        self.idle
-            .push_head_polls(self.fp.heads(), &self.energy_model[Side::Fp.index()]);
+        for (fifo, em) in [&self.int.fifo, &self.fp.fifo]
+            .into_iter()
+            .zip(&self.energy_model)
+        {
+            self.idle.push_head_polls(fifo.heads(), em);
+        }
         if let Some(d) = stalled {
             self.idle.push_steering_reads(d, &self.energy_model);
         }
@@ -437,7 +299,8 @@ mod tests {
         // make it ineligible is fiddly; instead set the tails explicitly).
         q.try_dispatch(&entry(1), 3).unwrap(); // queue 0, tail est 3
         q.try_dispatch(&entry(2), 2).unwrap(); // queue 1 (2 < 3+1), tail est 2
-        q.tail_est[1] = Some(7);
+        let tail = q.fifo.tail(1).unwrap();
+        q.est[tail as usize] = 7;
         // est 9: both queues eligible; the later tail (7) wins.
         let placed = q.try_dispatch(&entry(3), 9).unwrap();
         assert_eq!(placed, 1);
@@ -455,8 +318,8 @@ mod tests {
     fn empty_queue_resets_estimate() {
         let mut q = queues();
         q.try_dispatch(&entry(1), 5).unwrap();
-        q.pop_head(0);
-        assert_eq!(q.tail_est[0], None);
+        q.fifo.pop_head(0);
+        assert_eq!(q.tail_est(0), None);
     }
 
     #[test]
@@ -464,10 +327,10 @@ mod tests {
         let mut q = queues();
         q.try_dispatch(&fp_di(1, OpClass::FpAdd, Some(5), [Some(4), None]), 3)
             .unwrap();
-        let (_, head) = q.heads().next().unwrap();
+        let (_, head) = q.fifo.heads().next().unwrap();
         assert!(!head.all_ready());
-        q.wake(PhysReg::new(diq_isa::RegClass::Fp, 4));
-        let (_, head) = q.heads().next().unwrap();
+        q.fifo.wake(PhysReg::new(diq_isa::RegClass::Fp, 4));
+        let (_, head) = q.fifo.heads().next().unwrap();
         assert!(head.all_ready());
     }
 

@@ -1,6 +1,7 @@
 //! The `MixBUFF` scheme — the paper's contribution (Section 3.2).
 //!
-//! The integer side reuses the `IssueFIFO` dependence-steered FIFOs. The FP
+//! The integer side reuses the `IssueFIFO` dependence-steered FIFOs and
+//! their head-selection pass ([`issue_heads`](crate::fifo)). The FP
 //! side replaces FIFOs with RAM **buffers** in which instructions sit in any
 //! order, organized into **chains**:
 //!
@@ -22,15 +23,15 @@
 //! per chain in age order, so a queue's selection scans its *chains* (the
 //! hardware's latency table) instead of every buffered entry — within a
 //! chain all entries share a code, so the chain's oldest member is the only
-//! possible winner. Readiness is tracked by per-tag consumer lists; energy
-//! is still charged per the physical per-cycle structure accesses.
+//! possible winner. Readiness is tracked by the entry store's per-tag
+//! consumer lists, which also handle squash and cancel; energy is still
+//! charged per the physical per-cycle structure accesses.
 
 use crate::energy::{FifoEnergy, IdleCharge, MixEnergy};
-use crate::fifo::{Entry, FifoArray};
+use crate::fifo::{issue_heads, Entry, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
 use crate::soa::EntryStore;
-use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, LatencyConfig, OpClass, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -57,15 +58,12 @@ struct MixQueues {
     chains: Vec<Vec<ChainState>>,
     /// Entries currently buffered per queue (the RAM occupancy).
     queue_len: Vec<usize>,
-    waiters: WakeupMap,
     /// FP arch reg (class-local index) → (queue, chain, producer).
     steer: Vec<Option<(usize, usize, InstId)>>,
     /// The paper's priority heuristic: instructions whose chain finishes
     /// *this* cycle beat instructions that became ready earlier but were
     /// delayed. `false` selects purely oldest-first (the ablation).
     fresh_first: bool,
-    /// Cancel scratch, reused so recurring misses allocate nothing.
-    cancel_scratch: Vec<(u32, usize)>,
 }
 
 impl MixQueues {
@@ -78,7 +76,7 @@ impl MixQueues {
     ) -> Self {
         assert!(queues > 0 && capacity > 0 && chains_per_queue > 0);
         MixQueues {
-            store: EntryStore::new(queues * capacity),
+            store: EntryStore::new(queues * capacity, regs),
             capacity,
             chains_per_queue,
             // Built chain by chain (not `vec![..; n]`, whose clones drop
@@ -95,15 +93,9 @@ impl MixQueues {
                 })
                 .collect(),
             queue_len: vec![0; queues],
-            waiters: WakeupMap::new(queues * capacity, regs),
             steer: vec![None; diq_isa::ARCH_REGS_PER_CLASS],
             fresh_first,
-            cancel_scratch: Vec::new(),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
     }
 
     fn queues(&self) -> usize {
@@ -118,14 +110,7 @@ impl MixQueues {
     }
 
     fn place(&mut self, q: usize, c: usize, d: &DispatchInst) {
-        let entry = Entry::new(d);
-        let slot = self.store.insert(&entry);
-        for (i, ready) in entry.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(entry.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
+        let slot = self.store.insert(&Entry::new(d));
         let ch = &mut self.chains[q][c];
         ch.last = Some(d.id);
         ch.members.push_back(slot);
@@ -229,27 +214,6 @@ impl MixQueues {
         self.store.set_held(front);
     }
 
-    /// Miss cancel for `tag`: revert speculative readiness, re-listen, and
-    /// return held entries to normal buffered state.
-    fn cancel(&mut self, tag: PhysReg) {
-        let mut todo = std::mem::take(&mut self.cancel_scratch);
-        todo.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            for (i, src) in store.srcs(slot).iter().enumerate() {
-                if *src == Some(tag) && store.is_ready(slot, i) {
-                    todo.push((slot, i));
-                }
-            }
-        });
-        for &(slot, i) in &todo {
-            self.store.clear_ready(slot, i);
-            self.store.clear_held(slot);
-            self.waiters.listen(tag, slot, i);
-        }
-        self.cancel_scratch = todo;
-    }
-
     /// Removes the oldest member of chain `c` in queue `q` after issue and
     /// updates the chain latency table with the instruction's result
     /// latency.
@@ -259,13 +223,6 @@ impl MixQueues {
         ch.ready = now + result_lat;
         self.queue_len[q] -= 1;
         self.store.remove(slot);
-    }
-
-    fn wake(&mut self, tag: PhysReg) {
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            store.set_ready(w.slot, w.operand as usize);
-        });
     }
 
     /// Wrong-path squash: chain members are kept in age order, so the
@@ -284,13 +241,6 @@ impl MixQueues {
                     self.chains[q][c].members.pop_back();
                     self.queue_len[q] -= 1;
                     touched = true;
-                    let srcs = self.store.srcs(back);
-                    for (i, src) in srcs.iter().enumerate() {
-                        if !self.store.is_ready(back, i) {
-                            self.waiters
-                                .unlisten(src.expect("unready operand has a tag"), back);
-                        }
-                    }
                     self.store.remove(back);
                 }
                 if touched {
@@ -345,7 +295,7 @@ pub struct MixBuff {
     mix_energy: MixEnergy,
     meter: EnergyMeter,
     topology: FuTopology,
-    candidates: Vec<(u64, usize, Entry)>,
+    candidates: Vec<(u64, Side, usize, Entry)>,
     winners: Vec<(u64, usize, usize, Entry)>,
     /// One quiescent cycle's adds: integer head polls, per live FP queue a
     /// chain-table access and a selection pass, the FP winners' polls, one
@@ -370,13 +320,13 @@ impl MixBuff {
         let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         MixBuff {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
+            int: FifoArray::new(int.0, int.1, regs),
             fp: MixQueues::new(fp.0, fp.1, chains_per_queue, fresh_first, regs),
             lat: cfg.lat,
             dl1_hit: cfg.mem.dl1.latency,
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             mix_energy: MixEnergy::new(fp.1, chains_per_queue, &tech),
             meter: EnergyMeter::new(),
@@ -431,33 +381,14 @@ impl Scheduler for MixBuff {
 
     fn issue_cycle(&mut self, now: Cycle, sink: &mut dyn IssueSink) {
         // Integer side: FIFO heads, as IssueFIFO.
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((Side::Int, q))) {
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.int.hold_head(q);
-                } else {
-                    self.int.pop_head(q);
-                }
-                let em = self.energy_model[Side::Int.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-        self.candidates = candidates;
+        issue_heads(
+            [Some(&mut self.int.fifo), None],
+            &self.energy_model,
+            &mut self.meter,
+            &mut self.candidates,
+            sink,
+            |_, q| self.int.steering.emptied(q),
+        );
 
         // FP side: one selection per queue per cycle.
         let em_fp = self.energy_model[Side::Fp.index()];
@@ -511,12 +442,12 @@ impl Scheduler for MixBuff {
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
-        self.fp.wake(dst);
+        self.int.fifo.wake(dst);
+        self.fp.store.wake(dst);
     }
 
     fn on_mispredict(&mut self) {
-        self.int.clear_steering();
+        self.int.steering.clear();
         self.fp.clear_steering();
     }
 
@@ -526,12 +457,12 @@ impl Scheduler for MixBuff {
     }
 
     fn cancel(&mut self, tag: PhysReg) {
-        self.int.cancel(tag);
-        self.fp.cancel(tag);
+        self.int.fifo.cancel(tag);
+        self.fp.store.cancel(tag);
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        (self.int.len(), self.fp.len())
+        (self.int.fifo.len(), self.fp.store.len())
     }
 
     fn energy(&self) -> &EnergyMeter {
@@ -558,7 +489,7 @@ impl Scheduler for MixBuff {
         }
         self.idle.clear();
         self.idle
-            .push_head_polls(self.int.heads(), &self.energy_model[Side::Int.index()]);
+            .push_head_polls(self.int.fifo.heads(), &self.energy_model[Side::Int.index()]);
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
         for q in 0..self.fp.queues() {

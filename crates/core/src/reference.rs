@@ -547,7 +547,7 @@ impl ScanIssueFifo {
         int: (usize, usize),
         fp: (usize, usize),
         topology: FuTopology,
-        cfg: &ProcessorConfig,
+        _cfg: &ProcessorConfig,
     ) -> Self {
         let tech = TechParams::um100();
         ScanIssueFifo {
@@ -555,8 +555,8 @@ impl ScanIssueFifo {
             int: FifoArray::new(int.0, int.1),
             fp: FifoArray::new(fp.0, fp.1),
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             meter: EnergyMeter::new(),
             topology,
@@ -768,8 +768,8 @@ impl ScanLatFifo {
             fp: LatQueues::new(fp.0, fp.1),
             estimator: IssueTimeEstimator::new(cfg.lat, cfg.mem.dl1.latency),
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             meter: EnergyMeter::new(),
             topology,
@@ -1111,8 +1111,8 @@ impl ScanMixBuff {
             lat: cfg.lat,
             dl1_hit: cfg.mem.dl1.latency,
             energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
+                FifoEnergy::new(int.1, int.0, &topology, &tech),
+                FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
             mix_energy: MixEnergy::new(fp.1, chains_per_queue, &tech),
             meter: EnergyMeter::new(),

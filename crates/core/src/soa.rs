@@ -15,9 +15,17 @@
 //!   enabled comparators) are `count_ones` over the same words, so they
 //!   cannot drift from the entry state.
 //!
-//! Slots are stable `u32` handles (the [`WakeupMap`](crate::wakeup) refers
-//! to entries by slot), bounded by the structure's capacity — every scheme
-//! checks occupancy before inserting, so the arrays are allocated once at
+//! The store is also the one owner of the operand protocol every scheme
+//! shares. It keeps the per-tag consumer lists ([`WakeupMap`]): `insert`
+//! makes each unready operand listen for its tag, `remove` takes those
+//! listeners off again (a squashed entry leaves no ghost consumer),
+//! [`wake`](EntryStore::wake) delivers a produced tag, and
+//! [`cancel`](EntryStore::cancel) undoes a speculative one. The schemes
+//! only decide *where* an entry sits and *when* it leaves.
+//!
+//! Slots are stable `u32` handles (the [`WakeupMap`] refers to entries by
+//! slot), bounded by the structure's capacity — every scheme checks
+//! occupancy before inserting, so the arrays are allocated once at
 //! construction and never grow.
 //!
 //! The frozen scan models in [`reference`](crate::reference) deliberately
@@ -25,6 +33,7 @@
 //! the statistics (including every energy figure) stay bit-identical.
 
 use crate::fifo::Entry;
+use crate::wakeup::WakeupMap;
 use diq_isa::{InstId, OpClass, PhysReg};
 
 const WORD_BITS: usize = 64;
@@ -44,6 +53,8 @@ pub(crate) struct EntryStore {
     held: Box<[u64]>,
     free: Vec<u32>,
     len: usize,
+    /// `tag → [waiting (slot, operand)]`: exactly the live unready operands.
+    waiters: WakeupMap,
 }
 
 #[inline]
@@ -54,8 +65,22 @@ fn bit(slot: u32) -> (usize, u64) {
     )
 }
 
+/// The slots of the set bits of bitset word `w`, ascending.
+#[inline]
+fn slots(w: usize, mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let slot = (w * WORD_BITS) as u32 + word.trailing_zeros();
+            word &= word - 1;
+            slot
+        })
+    })
+}
+
 impl EntryStore {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// A store of `capacity` slots whose operands name tags among `regs`
+    /// physical registers (`[int, fp]`).
+    pub(crate) fn new(capacity: usize, regs: [usize; 2]) -> Self {
         assert!(capacity > 0 && capacity <= u32::MAX as usize);
         let words = capacity.div_ceil(WORD_BITS);
         EntryStore {
@@ -72,6 +97,7 @@ impl EntryStore {
             // word-wide scans touch few words.
             free: (0..capacity as u32).rev().collect(),
             len: 0,
+            waiters: WakeupMap::new(capacity, regs),
         }
     }
 
@@ -79,8 +105,9 @@ impl EntryStore {
         self.len
     }
 
-    /// Inserts an entry, returning its slot. Panics when full — callers
-    /// gate dispatch on occupancy before inserting.
+    /// Inserts an entry, returning its slot, and makes each unready
+    /// operand listen for its tag. Panics when full — callers gate
+    /// dispatch on occupancy before inserting.
     pub(crate) fn insert(&mut self, e: &Entry) -> u32 {
         let slot = self.free.pop().expect("entry store full");
         let i = slot as usize;
@@ -94,6 +121,8 @@ impl EntryStore {
                 self.ready[op][w] |= m;
             } else {
                 self.ready[op][w] &= !m;
+                let tag = e.srcs[op].expect("unready operand has a tag");
+                self.waiters.listen(tag, slot, op);
             }
         }
         debug_assert!(!e.held, "entries are never inserted held");
@@ -102,13 +131,72 @@ impl EntryStore {
         slot
     }
 
+    /// Frees `slot`, first taking its unready operands off their tags'
+    /// consumer lists: a later broadcast of a recycled tag must not wake a
+    /// dead — or worse, a reused — slot. Issued and held entries are fully
+    /// ready, so only a squashed entry has listeners to remove.
     pub(crate) fn remove(&mut self, slot: u32) {
         let (w, m) = bit(slot);
         debug_assert!(self.live[w] & m != 0, "remove of a dead slot");
+        if self.ready[0][w] & self.ready[1][w] & m == 0 {
+            for op in 0..2 {
+                if self.ready[op][w] & m == 0 {
+                    let tag = self.srcs[slot as usize][op].expect("unready operand has a tag");
+                    self.waiters.unlisten(tag, slot);
+                }
+            }
+        }
         self.live[w] &= !m;
         self.held[w] &= !m;
         self.free.push(slot);
         self.len -= 1;
+    }
+
+    /// Removes every entry with `id >= from` (wrong-path squash), in
+    /// ascending slot order, and returns how many there were.
+    pub(crate) fn remove_from(&mut self, from: InstId) -> usize {
+        let mut removed = 0;
+        for w in 0..self.live.len() {
+            for slot in slots(w, self.live[w]) {
+                if self.ids[slot as usize] >= from {
+                    self.remove(slot);
+                    removed += 1;
+                }
+            }
+        }
+        removed
+    }
+
+    /// Delivers a produced tag to the operands listening for it, wherever
+    /// their entries sit.
+    pub(crate) fn wake(&mut self, tag: PhysReg) {
+        let ready = &mut self.ready;
+        self.waiters.wake(tag, |waiter| {
+            let (w, m) = bit(waiter.slot);
+            let word = &mut ready[waiter.operand as usize][w];
+            debug_assert!(*word & m == 0, "double wakeup");
+            *word |= m;
+        });
+    }
+
+    /// Miss cancel for `tag`: every live operand that `tag` made ready
+    /// reverts to waiting and listens again for the real broadcast, and
+    /// its entry, if held after a speculative issue, becomes a normal
+    /// queued entry again. A scan of the live slots is cheap enough: a
+    /// cancel happens once per L1 miss, not once per cycle.
+    pub(crate) fn cancel(&mut self, tag: PhysReg) {
+        for w in 0..self.live.len() {
+            for slot in slots(w, self.live[w]) {
+                let (_, m) = bit(slot);
+                for op in 0..2 {
+                    if self.srcs[slot as usize][op] == Some(tag) && self.ready[op][w] & m != 0 {
+                        self.ready[op][w] &= !m;
+                        self.held[w] &= !m;
+                        self.waiters.listen(tag, slot, op);
+                    }
+                }
+            }
+        }
     }
 
     /// A copy of the entry's fields in struct form (selection candidates).
@@ -129,30 +217,6 @@ impl EntryStore {
         self.ids[slot as usize]
     }
 
-    pub(crate) fn srcs(&self, slot: u32) -> [Option<PhysReg>; 2] {
-        self.srcs[slot as usize]
-    }
-
-    pub(crate) fn is_ready(&self, slot: u32, operand: usize) -> bool {
-        let (w, m) = bit(slot);
-        self.ready[operand][w] & m != 0
-    }
-
-    pub(crate) fn set_ready(&mut self, slot: u32, operand: usize) {
-        let (w, m) = bit(slot);
-        self.ready[operand][w] |= m;
-    }
-
-    pub(crate) fn clear_ready(&mut self, slot: u32, operand: usize) {
-        let (w, m) = bit(slot);
-        self.ready[operand][w] &= !m;
-    }
-
-    pub(crate) fn all_ready(&self, slot: u32) -> bool {
-        let (w, m) = bit(slot);
-        self.ready[0][w] & self.ready[1][w] & m != 0
-    }
-
     pub(crate) fn is_held(&self, slot: u32) -> bool {
         let (w, m) = bit(slot);
         self.held[w] & m != 0
@@ -161,11 +225,6 @@ impl EntryStore {
     pub(crate) fn set_held(&mut self, slot: u32) {
         let (w, m) = bit(slot);
         self.held[w] |= m;
-    }
-
-    pub(crate) fn clear_held(&mut self, slot: u32) {
-        let (w, m) = bit(slot);
-        self.held[w] &= !m;
     }
 
     /// Live entries that are fully ready and not held — the selection
@@ -181,12 +240,7 @@ impl EntryStore {
             .zip(self.held.iter())
             .enumerate()
         {
-            let mut word = live & r0 & r1 & !held;
-            while word != 0 {
-                let slot = (w * WORD_BITS) as u32 + word.trailing_zeros();
-                f(slot);
-                word &= word - 1;
-            }
+            slots(w, live & r0 & r1 & !held).for_each(&mut f);
         }
     }
 
@@ -221,18 +275,6 @@ impl EntryStore {
             })
             .sum()
     }
-
-    /// Calls `f` for every live slot, ascending.
-    pub(crate) fn for_each_live(&self, mut f: impl FnMut(u32)) {
-        for (w, &live) in self.live.iter().enumerate() {
-            let mut word = live;
-            while word != 0 {
-                let slot = (w * WORD_BITS) as u32 + word.trailing_zeros();
-                f(slot);
-                word &= word - 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +286,10 @@ mod tests {
         Entry {
             id: InstId(id),
             op: OpClass::IntAlu,
-            srcs: [Some(PhysReg::new(RegClass::Int, 7)), None],
+            srcs: [
+                Some(PhysReg::new(RegClass::Int, 7)),
+                Some(PhysReg::new(RegClass::Int, 8)),
+            ],
             ready,
             held: false,
         }
@@ -252,7 +297,7 @@ mod tests {
 
     #[test]
     fn insert_snapshot_remove_round_trip() {
-        let mut s = EntryStore::new(70); // crosses a word boundary
+        let mut s = EntryStore::new(70, [64, 64]); // crosses a word boundary
         let slots: Vec<u32> = (0..70)
             .map(|i| s.insert(&entry(i, [i % 2 == 0, true])))
             .collect();
@@ -273,26 +318,29 @@ mod tests {
     }
 
     #[test]
-    fn ready_and_held_bits_flip_independently() {
-        let mut s = EntryStore::new(4);
+    fn wake_and_cancel_flip_ready_and_held_bits() {
+        let mut s = EntryStore::new(4, [64, 64]);
+        let tag = PhysReg::new(RegClass::Int, 7);
         let a = s.insert(&entry(1, [false, true]));
-        assert!(!s.all_ready(a));
-        s.set_ready(a, 0);
-        assert!(s.all_ready(a));
+        assert_eq!(s.selectable_count(), 0);
+        s.wake(tag);
+        assert!(s.snapshot(a).all_ready());
         assert_eq!(s.selectable_count(), 1);
         s.set_held(a);
         assert!(s.is_held(a));
         assert_eq!(s.selectable_count(), 0, "held entries are unselectable");
-        s.clear_held(a);
-        s.clear_ready(a, 0);
-        assert!(!s.all_ready(a));
-        assert!(s.is_ready(a, 1));
+        s.cancel(tag);
+        let e = s.snapshot(a);
+        assert_eq!(e.ready, [false, true], "only the cancelled operand reverts");
+        assert!(!e.held, "cancel returns a held entry to the queue");
         assert_eq!(s.unready_operand_count(), 1);
+        s.wake(tag);
+        assert!(s.snapshot(a).all_ready(), "cancel listens again");
     }
 
     #[test]
     fn selectable_iteration_matches_count_across_words() {
-        let mut s = EntryStore::new(130);
+        let mut s = EntryStore::new(130, [64, 64]);
         let mut expect = Vec::new();
         for i in 0..130u64 {
             let ready = [i % 3 != 0, i % 5 != 0];
@@ -305,15 +353,12 @@ mod tests {
         s.for_each_selectable(|slot| got.push(slot));
         assert_eq!(got, expect);
         assert_eq!(s.selectable_count(), expect.len());
-        let mut live = 0;
-        s.for_each_live(|_| live += 1);
-        assert_eq!(live, 130);
     }
 
     #[test]
     #[should_panic(expected = "entry store full")]
     fn insert_past_capacity_panics() {
-        let mut s = EntryStore::new(2);
+        let mut s = EntryStore::new(2, [64, 64]);
         for i in 0..3 {
             s.insert(&entry(i, [true, true]));
         }

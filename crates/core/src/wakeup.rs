@@ -1,6 +1,8 @@
 //! The event-driven wakeup fast path: per-tag consumer lists. The entries
 //! they refer to live in the SoA [`EntryStore`](crate::soa), addressed by
-//! stable `u32` slots.
+//! stable `u32` slots, and the store owns the map: only it listens,
+//! unlistens and wakes, so the operand protocol is written once for every
+//! scheme.
 //!
 //! The paper's argument is about *step complexity*: a conventional CAM
 //! broadcasts every produced tag to every queue entry, while the distributed
@@ -8,7 +10,7 @@
 //! module existed the simulator modelled every scheme the CAM way — each
 //! result (and each cycle's readiness check) scanned full entry vectors —
 //! so simulated wall-clock did not reflect the complexity the paper
-//! measures. Now each scheduler owns a [`WakeupMap`] (`tag → [waiter]`): a
+//! measures. Now each entry store owns a [`WakeupMap`] (`tag → [waiter]`): a
 //! result broadcast is a [`WakeupEvent`] that touches only the entries
 //! actually listening for that tag.
 //!

@@ -153,7 +153,8 @@ pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
 /// Folds `bytes` into two independent FNV-1a chains in one pass:
 /// `(fnv1a64(a, bytes), fnv1a64(b, bytes))`. Each chain is a serial
 /// multiply per byte, so running two side by side costs about what one
-/// costs; the writer uses it for the content hash and the block checksum.
+/// costs; the writer and `TraceReader::verify` use it for the block
+/// checksum and the content hash.
 #[must_use]
 pub(crate) fn fnv1a64_pair(a: u64, b: u64, bytes: &[u8]) -> (u64, u64) {
     bytes.iter().fold((a, b), |(a, b), &x| {

@@ -3,8 +3,8 @@
 
 use super::encode::{decode_inst, DeltaState};
 use super::{
-    fnv1a64, TraceError, TraceMeta, BLOCK_HEADER_BYTES, FNV_OFFSET, FORMAT_VERSION, MAGIC,
-    TRAILER_BYTES, TRAILER_MAGIC,
+    fnv1a64, fnv1a64_pair, TraceError, TraceMeta, BLOCK_HEADER_BYTES, FNV_OFFSET, FORMAT_VERSION,
+    MAGIC, TRAILER_BYTES, TRAILER_MAGIC,
 };
 use diq_isa::{ArchReg, Inst};
 use std::fs::File;
@@ -302,7 +302,7 @@ impl TraceReader {
             } else {
                 self.index_entry(block)?
             };
-            self.load_block(block, off)?;
+            self.load_block(block, off, None)?;
         }
         let inst = decode_inst(&self.raw, &mut self.cursor, &mut self.state).map_err(|detail| {
             TraceError::Corrupt {
@@ -359,7 +359,7 @@ impl TraceReader {
                 self.state = DeltaState::default();
             } else {
                 let off = self.index_entry(block)?;
-                self.load_block(block, off)?;
+                self.load_block(block, off, None)?;
             }
             target - self.block_first
         };
@@ -454,7 +454,15 @@ impl TraceReader {
         Ok(off)
     }
 
-    fn load_block(&mut self, block: u64, off: u64) -> Result<(), TraceError> {
+    /// Reads, decompresses and checksums block `block` at `off`. With
+    /// `content`, the same pass over the raw bytes also folds them into
+    /// that content-hash chain (`verify`); replay passes `None`.
+    fn load_block(
+        &mut self,
+        block: u64,
+        off: u64,
+        content: Option<&mut u64>,
+    ) -> Result<(), TraceError> {
         let mut hdr = [0u8; BLOCK_HEADER_BYTES as usize];
         self.file.seek(SeekFrom::Start(off))?;
         self.file.read_exact(&mut hdr)?;
@@ -482,7 +490,15 @@ impl TraceReader {
                 detail: e.to_string(),
             }
         })?;
-        if fnv1a64(FNV_OFFSET, &self.raw) != checksum {
+        let sum = match content {
+            Some(chain) => {
+                let (sum, chained) = fnv1a64_pair(FNV_OFFSET, *chain, &self.raw);
+                *chain = chained;
+                sum
+            }
+            None => fnv1a64(FNV_OFFSET, &self.raw),
+        };
+        if sum != checksum {
             return Err(TraceError::Corrupt {
                 block,
                 detail: "checksum mismatch".into(),
@@ -517,8 +533,7 @@ impl TraceReader {
                     self.path
                 )));
             }
-            self.load_block(block, off)?;
-            content = fnv1a64(content, &self.raw);
+            self.load_block(block, off, Some(&mut content))?;
             for _ in 0..self.block_len {
                 decode_inst(&self.raw, &mut self.cursor, &mut self.state)
                     .map_err(|detail| TraceError::Corrupt { block, detail })?;
@@ -706,6 +721,35 @@ mod tests {
         }
         assert!(hit_error, "corruption must surface as an error");
         assert!(r.error().is_some());
+        drop(r);
+        let mut r = TraceReader::open(&path).unwrap();
+        let e = r.verify().unwrap_err();
+        assert!(matches!(e, TraceError::Corrupt { block: 0, .. }), "{e}");
+        drop(r);
+
+        // Restore the payload, then change one digit of the footer's
+        // recorded content hash in place: every block checksum still
+        // holds, so only the content chain can catch it.
+        bytes[40] ^= 0xff;
+        let key = b"\"content\":";
+        let at = bytes
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("footer records the content hash")
+            + key.len();
+        let end = at
+            + bytes[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+        let last = &mut bytes[end - 1];
+        *last = if *last > b'0' { *last - 1 } else { *last + 1 };
+        std::fs::write(&path, &bytes).unwrap();
+        let mut r = TraceReader::open(&path).unwrap();
+        match r.verify().unwrap_err() {
+            TraceError::Format(m) => assert!(m.contains("content hash mismatch"), "{m}"),
+            e => panic!("expected a content hash mismatch, got {e}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -135,6 +135,29 @@ bench-smoke:
     DIQ_INSTRS=2000 ./target/release/diq figure headline
     DIQ_INSTRS=2000 ./target/release/diq figure ablation_chains
 
+# Lines of code, the measure of "less code": per crate (`crates/*/src`)
+# and the root `src/`, the lines that are neither blank nor `//` comments,
+# up to the file's `#[cfg(test)] mod tests`. With a directory, per file.
+# vendor/ and perfbench/ are not counted.
+loc dir="":
+    #!/bin/sh
+    count() {
+        find "$@" -name '*.rs' -exec awk '
+            FNR == 1 { if (f != "") print n, f; f = FILENAME; n = 0; t = 0; held = 0 }
+            t { next }
+            held { held = 0; if (/^mod tests/) { t = 1; next } n++ }
+            /^#\[cfg\(test\)\]$/ { held = 1; next }
+            !/^[ \t]*(\/\/|$)/ { n++ }
+            END { if (f != "") print n, f }' {} + | sort -k2
+    }
+    if [ -n "{{dir}}" ]; then
+        count "{{dir}}" | awk '{ printf "%6d  %s\n", $1, $2; s += $1 } END { printf "%6d  total\n", s }'
+    else
+        for d in crates/*/src src; do
+            count "$d" | awk -v d="$d" '{ s += $1 } END { printf "%6d  %s\n", s, d }'
+        done
+    fi
+
 # Remove build output.
 clean:
     cargo clean
