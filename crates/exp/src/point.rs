@@ -115,24 +115,32 @@ impl Point {
 
     /// The store keys of a batch of points, in order: `keys(points)[i] ==
     /// points[i].key()`. Each distinct scheme, workload and machine of the
-    /// batch is rendered once (a grid has few of each), and every key
-    /// hashes the identity pieces in order without building the text.
+    /// batch is rendered once (a grid has few of each). The identity texts
+    /// are laid out four at a time in reused buffers and hashed in lockstep
+    /// ([`trace::fnv1a64_x4`]).
     #[must_use]
     pub fn keys(points: &[Point]) -> Vec<String> {
         let mut schemes = Renders { seen: Vec::new() };
         let mut workloads = Renders { seen: Vec::new() };
         let mut machines = Renders { seen: Vec::new() };
-        points
-            .iter()
-            .map(|p| {
+        let mut texts: [Vec<u8>; 4] = Default::default();
+        let mut keys = Vec::with_capacity(points.len());
+        for group in points.chunks(4) {
+            for (text, p) in texts.iter_mut().zip(group) {
+                text.clear();
                 IdentityParts {
                     scheme: schemes.get(&p.scheme, render_scheme),
                     workload: workloads.get(&p.source, render_workload),
                     machine: machines.get(&p.machine, render_machine),
                 }
-                .key(p.instructions)
-            })
-            .collect()
+                .pieces(p.instructions, |piece| {
+                    text.extend_from_slice(piece.as_bytes());
+                });
+            }
+            let hashes = trace::fnv1a64_x4(texts.each_ref().map(Vec::as_slice));
+            keys.extend(hashes[..group.len()].iter().map(|h| format!("{h:016x}")));
+        }
+        keys
     }
 
     fn identity_parts(&self) -> IdentityParts<String> {

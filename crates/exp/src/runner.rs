@@ -285,6 +285,35 @@ mod tests {
     }
 
     #[test]
+    fn an_all_hit_resume_leaves_the_manifest_alone() {
+        let store = tmp_store("manifest-skip");
+        let mut spec = tiny_spec();
+        sweep_as(&spec, "tiny".into(), &store, 1).unwrap();
+        let path = store.root().join("runs/tiny.json");
+        // An old modification time: a rewrite within the file system's
+        // timestamp granularity could not hide behind it.
+        let old = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let bytes = fs::read(&path).unwrap();
+
+        sweep_as(&spec, "tiny".into(), &store, 1).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), bytes);
+        assert_eq!(fs::metadata(&path).unwrap().modified().unwrap(), old);
+
+        spec.description = Some("changed".into());
+        sweep_as(&spec, "tiny".into(), &store, 1).unwrap();
+        assert_ne!(fs::metadata(&path).unwrap().modified().unwrap(), old);
+        let manifest = store.read_manifest("tiny").unwrap();
+        assert_eq!(manifest.description.as_deref(), Some("changed"));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn run_name_override_is_validated() {
         let store = tmp_store("badname");
         let err = sweep_as(&tiny_spec(), "../../evil".into(), &store, 1)

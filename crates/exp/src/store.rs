@@ -253,15 +253,28 @@ impl ResultStore {
         }
     }
 
-    /// Writes (replacing) a run manifest.
+    /// Writes (replacing) a run manifest. A file that already holds exactly
+    /// these bytes is left alone, so an all-cache-hit resume writes
+    /// nothing. Otherwise the text goes to a sibling temporary file that is
+    /// then renamed over the manifest: a writer killed part-way leaves the
+    /// previous manifest whole, never a torn one.
     ///
     /// # Errors
     ///
-    /// I/O failures.
+    /// I/O failures; the previous manifest, if any, is then unchanged.
     pub fn write_manifest(&self, manifest: &RunManifest) -> io::Result<()> {
         let mut text = serde_json::to_string_pretty(manifest).expect("manifests serialize");
         text.push('\n');
-        fs::write(self.manifest_file(&manifest.name), text)
+        let path = self.manifest_file(&manifest.name);
+        if fs::read(&path).is_ok_and(|old| old == text.as_bytes()) {
+            return Ok(());
+        }
+        let tmp = path.with_extension("json.tmp");
+        fs::write(&tmp, text)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .inspect_err(|_| {
+                let _ = fs::remove_file(&tmp);
+            })
     }
 
     /// Reads the manifest of a named run.
@@ -505,6 +518,37 @@ mod tests {
         assert_eq!(store.run_names().unwrap(), ["demo"]);
         let err = store.read_manifest("ghost").unwrap_err().to_string();
         assert!(err.contains("known runs: demo"), "{err}");
+        let _ = fs::remove_dir_all(store.root());
+    }
+    fn manifest(description: &str) -> RunManifest {
+        RunManifest {
+            name: "demo".into(),
+            description: Some(description.into()),
+            points: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_failed_manifest_write_keeps_the_old_manifest_and_no_debris() {
+        let store = tmp_store("manifest-atomic");
+        let path = store.root().join("runs/demo.json");
+        let tmp = store.root().join("runs/demo.json.tmp");
+        store.write_manifest(&manifest("old")).unwrap();
+        assert!(!tmp.exists(), "a successful write leaves no temporary file");
+        let old = fs::read(&path).unwrap();
+
+        // A directory where the temporary file goes makes the write fail
+        // before the rename.
+        fs::create_dir(&tmp).unwrap();
+        assert!(store.write_manifest(&manifest("new")).is_err());
+        assert_eq!(fs::read(&path).unwrap(), old, "the old manifest is intact");
+        assert_eq!(store.read_manifest("demo").unwrap(), manifest("old"));
+
+        fs::remove_dir(&tmp).unwrap();
+        store.write_manifest(&manifest("new")).unwrap();
+        assert_eq!(store.read_manifest("demo").unwrap(), manifest("new"));
+        assert!(!tmp.exists());
+        assert_eq!(store.run_names().unwrap(), ["demo"]);
         let _ = fs::remove_dir_all(store.root());
     }
 }

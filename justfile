@@ -34,13 +34,16 @@ sweep spec="experiments/paper_matrix.json":
     cargo run --release -- sweep {{spec}}
 
 # The CI resume check, locally: sweep a tiny grid twice, the second pass must
-# be 100% cache hits (asserted on the machine-readable summary, as CI does),
-# then export the summary JSON.
+# be 100% cache hits (asserted on the machine-readable summary, as CI does)
+# and leave the run manifest byte for byte as it was, then export the
+# summary JSON.
 sweep-smoke:
     cargo build --release
     ./target/release/diq sweep experiments/ci_smoke.json --store ci-results --summary-json ci-results/first.json
+    cp ci-results/runs/ci-smoke.json ci-results/first-manifest.json
     ./target/release/diq sweep experiments/ci_smoke.json --store ci-results --summary-json ci-results/second.json
     jq -e '.computed == 0 and .cached == .total and .cache_hit_pct == 100' ci-results/second.json
+    cmp ci-results/first-manifest.json ci-results/runs/ci-smoke.json
     ./target/release/diq export ci-smoke --store ci-results
 
 # The CI trace check, locally: record a 50k-instruction trace twice (the
