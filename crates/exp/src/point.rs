@@ -137,6 +137,8 @@ impl Point {
                     text.extend_from_slice(piece.as_bytes());
                 });
             }
+            // In a short last group the spare lanes still hold earlier
+            // texts; their hashes are dropped.
             let hashes = trace::fnv1a64_x4(texts.each_ref().map(Vec::as_slice));
             keys.extend(hashes[..group.len()].iter().map(|h| format!("{h:016x}")));
         }

@@ -520,6 +520,7 @@ mod tests {
         assert!(err.contains("known runs: demo"), "{err}");
         let _ = fs::remove_dir_all(store.root());
     }
+
     fn manifest(description: &str) -> RunManifest {
         RunManifest {
             name: "demo".into(),
