@@ -4,7 +4,8 @@ use diq_core::SchedulerConfig;
 use diq_isa::ProcessorConfig;
 use diq_pipeline::{SimStats, Simulator, StageProfile, TraceSource};
 use diq_workload::{trace, TraceReader, WorkloadSource, WorkloadSpec};
-use serde::{Deserialize, Serialize, Value};
+use serde::json::Writer;
+use serde::{Deserialize, Serialize};
 
 /// 64-bit FNV-1a over `bytes` — the store's content hash, the same
 /// function the trace format chains its checksums with. Small, stable,
@@ -251,18 +252,25 @@ fn render_scheme(scheme: &SchedulerConfig) -> String {
 
 fn render_workload(source: &WorkloadSource) -> String {
     match source {
-        WorkloadSource::Spec(spec) => serde_json::to_string(spec),
-        WorkloadSource::Trace(t) => serde_json::to_string(&Value::Map(vec![(
-            "trace".into(),
-            Value::Map(vec![
-                ("name".into(), t.name.to_value()),
-                ("content".into(), t.content.to_value()),
-                ("instructions".into(), t.instructions.to_value()),
-                ("seed".into(), t.seed.to_value()),
-            ]),
-        )])),
+        WorkloadSource::Spec(spec) => serde_json::to_string(spec).expect("identity serializes"),
+        WorkloadSource::Trace(t) => {
+            let mut w = Writer::compact();
+            w.begin_map();
+            w.map_key("trace");
+            w.begin_map();
+            w.map_key("name");
+            w.str(&t.name);
+            w.map_key("content");
+            w.u64(t.content);
+            w.map_key("instructions");
+            w.u64(t.instructions);
+            w.map_key("seed");
+            w.u64(t.seed);
+            w.end_map();
+            w.end_map();
+            w.into_string()
+        }
     }
-    .expect("identity serializes")
 }
 
 fn render_machine(machine: &ProcessorConfig) -> String {
