@@ -28,7 +28,7 @@
 //! feedback. Without one, none of that code runs.
 
 use crate::adaptive::{AdaptiveConfig, BankController};
-use crate::energy::{CamEnergy, IdleCharge};
+use crate::energy::{CamEnergy, IdleCharge, SelectTable};
 use crate::fifo::Entry;
 use crate::fu::FuTopology;
 use crate::soa::EntryStore;
@@ -101,7 +101,7 @@ impl CamArray {
             banks: self.active_banks(),
             comparators: self.store.unready_operand_count(),
         };
-        self.store.wake(tag);
+        self.store.wake(tag, |_, _| {});
         event
     }
 }
@@ -138,9 +138,10 @@ pub struct CamIssueQueue {
     int: CamArray,
     fp: CamArray,
     energy_model: CamEnergy,
+    /// The selection charge per number of selectable entries on a side.
+    select: SelectTable,
     meter: EnergyMeter,
     topology: FuTopology,
-    tech: TechParams,
     /// Per-cycle selection scratch, reused across cycles.
     candidates: Vec<u64>,
     /// One quiescent cycle's adds: a select charge per non-empty side.
@@ -168,18 +169,25 @@ impl CamIssueQueue {
             cfg.phys_regs(diq_isa::RegClass::Int),
             cfg.phys_regs(diq_isa::RegClass::Fp),
         ];
+        let energy_model = CamEnergy::new(int_entries, banks, &topology, &tech);
         CamIssueQueue {
             name,
             int: CamArray::new(int_entries, banks, regs, adaptive),
             fp: CamArray::new(fp_entries, banks, regs, adaptive),
-            energy_model: CamEnergy::new(int_entries, banks, &topology, &tech),
+            select: SelectTable::new(&energy_model.select, &tech, int_entries.max(fp_entries)),
+            energy_model,
             meter: EnergyMeter::new(),
             topology,
-            tech,
             // Every entry may be a candidate at once.
             candidates: Vec::with_capacity(int_entries + fp_entries),
             idle: IdleCharge::new(&[(Component::BankIdle, 1), (Component::Select, 2)]),
         }
+    }
+
+    /// The selection tree and its precomputed charges.
+    #[cfg(test)]
+    pub(crate) fn select_table(&self) -> (&diq_power::SelectSpec, &SelectTable) {
+        (&self.energy_model.select, &self.select)
     }
 
     fn array(&mut self, side: Side) -> &mut CamArray {
@@ -233,9 +241,7 @@ impl Scheduler for CamIssueQueue {
             if array.store.len() > 0 {
                 self.meter.add(
                     Component::Select,
-                    self.energy_model
-                        .select
-                        .select_energy_pj(&self.tech, candidates.len() - before),
+                    self.select.get(candidates.len() - before),
                 );
             }
         }
@@ -372,9 +378,7 @@ impl Scheduler for CamIssueQueue {
             if array.store.len() > 0 {
                 self.idle.push(
                     Component::Select,
-                    self.energy_model
-                        .select
-                        .select_energy_pj(&self.tech, array.store.selectable_count()),
+                    self.select.get(array.store.selectable_count()),
                 );
             }
         }
@@ -385,6 +389,23 @@ impl Scheduler for CamIssueQueue {
             }
         }
         wake
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for CamIssueQueue {
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        for array in [&self.int, &self.fp] {
+            array.store.check_bookkeeping()?;
+            crate::check::ensure(array.store.len() <= array.capacity, || {
+                format!(
+                    "{} entries in a {}-entry side",
+                    array.store.len(),
+                    array.capacity
+                )
+            })?;
+        }
+        Ok(())
     }
 }
 

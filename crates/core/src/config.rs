@@ -418,6 +418,32 @@ impl SchedulerConfig {
     /// Builds the scheduler.
     #[must_use]
     pub fn build(&self, cfg: &ProcessorConfig) -> Box<dyn Scheduler> {
+        match self.build_concrete(cfg) {
+            Built::Cam(s) => Box::new(s),
+            Built::Fifo(s) => Box::new(s),
+            Built::Lat(s) => Box::new(s),
+            Built::Mix(s) => Box::new(s),
+        }
+    }
+
+    /// [`build`](Self::build), wrapped so that the scheme's internal
+    /// bookkeeping is checked after every call and the first inconsistency
+    /// panics with a description. For tests: the checks walk the whole
+    /// scheduler state on every call.
+    #[cfg(any(test, feature = "check"))]
+    #[must_use]
+    pub fn build_checked(&self, cfg: &ProcessorConfig) -> Box<dyn Scheduler> {
+        use crate::check::Checked;
+        match self.build_concrete(cfg) {
+            Built::Cam(s) => Box::new(Checked::new(s)),
+            Built::Fifo(s) => Box::new(Checked::new(s)),
+            Built::Lat(s) => Box::new(Checked::new(s)),
+            Built::Mix(s) => Box::new(Checked::new(s)),
+        }
+    }
+
+    /// The scheme as its concrete type.
+    pub(crate) fn build_concrete(&self, cfg: &ProcessorConfig) -> Built {
         let name = self.label();
         let topology = self.fu_topology(cfg);
         match self {
@@ -425,7 +451,7 @@ impl SchedulerConfig {
                 int_entries,
                 fp_entries,
                 banks,
-            } => Box::new(CamIssueQueue::new(
+            } => Built::Cam(CamIssueQueue::new(
                 name,
                 *int_entries,
                 *fp_entries,
@@ -440,7 +466,7 @@ impl SchedulerConfig {
                 fp_entries,
                 banks,
                 adaptive,
-            } => Box::new(CamIssueQueue::new(
+            } => Built::Cam(CamIssueQueue::new(
                 name,
                 *int_entries,
                 *fp_entries,
@@ -449,14 +475,14 @@ impl SchedulerConfig {
                 topology,
                 cfg,
             )),
-            SchedulerConfig::IssueFifo { int, fp, .. } => Box::new(IssueFifo::new(
+            SchedulerConfig::IssueFifo { int, fp, .. } => Built::Fifo(IssueFifo::new(
                 name,
                 (int.queues, int.entries),
                 (fp.queues, fp.entries),
                 topology,
                 cfg,
             )),
-            SchedulerConfig::LatFifo { int, fp, .. } => Box::new(LatFifo::new(
+            SchedulerConfig::LatFifo { int, fp, .. } => Built::Lat(LatFifo::new(
                 name,
                 (int.queues, int.entries),
                 (fp.queues, fp.entries),
@@ -469,7 +495,7 @@ impl SchedulerConfig {
                 chains_per_queue,
                 fresh_priority,
                 ..
-            } => Box::new(MixBuff::new(
+            } => Built::Mix(MixBuff::new(
                 name,
                 (int.queues, int.entries),
                 (fp.queues, fp.entries),
@@ -490,6 +516,15 @@ impl SchedulerConfig {
     pub fn build_scan(&self, cfg: &ProcessorConfig) -> Box<dyn Scheduler> {
         crate::reference::build_scan(self, cfg)
     }
+}
+
+/// A built scheme as its concrete type (see
+/// [`SchedulerConfig::build_concrete`]).
+pub(crate) enum Built {
+    Cam(CamIssueQueue),
+    Fifo(IssueFifo),
+    Lat(LatFifo),
+    Mix(MixBuff),
 }
 
 #[cfg(test)]
@@ -609,5 +644,50 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    #[test]
+    fn select_tables_are_bit_equal_to_the_formula_at_every_occupancy() {
+        let cfg = ProcessorConfig::hpca2004();
+        let tech = diq_power::TechParams::um100();
+        let mut tables = 0;
+        for sc in SchedulerConfig::known() {
+            // The most candidates a selection tree of the scheme can see:
+            // a whole CAM side, or a whole MixBUFF FP queue.
+            let (max_active, built) = match &sc {
+                SchedulerConfig::Cam {
+                    int_entries,
+                    fp_entries,
+                    ..
+                }
+                | SchedulerConfig::AdaptiveCam {
+                    int_entries,
+                    fp_entries,
+                    ..
+                } => (*int_entries.max(fp_entries), sc.build_concrete(&cfg)),
+                SchedulerConfig::MixBuff { fp, .. } => (fp.entries, sc.build_concrete(&cfg)),
+                // No selection tree: FIFO heads are taken oldest first.
+                SchedulerConfig::IssueFifo { .. } | SchedulerConfig::LatFifo { .. } => continue,
+            };
+            let (spec, table) = match &built {
+                Built::Cam(s) => s.select_table(),
+                Built::Mix(s) => s.select_table(),
+                Built::Fifo(_) | Built::Lat(_) => unreachable!("FIFO schemes skipped above"),
+            };
+            assert_eq!(table.charges().len(), max_active + 1, "{}", sc.label());
+            for (active, &pj) in table.charges().iter().enumerate() {
+                assert_eq!(
+                    pj.to_bits(),
+                    spec.select_energy_pj(&tech, active).to_bits(),
+                    "{} at {active} active",
+                    sc.label()
+                );
+            }
+            tables += 1;
+        }
+        assert_eq!(
+            tables, 6,
+            "three CAM and three MixBUFF schemes are registered"
+        );
     }
 }

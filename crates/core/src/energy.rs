@@ -4,7 +4,7 @@
 //! and charge them at the per-access energies computed here from
 //! `diq-power`'s array models. Everything is evaluated once at construction.
 
-use crate::fifo::Entry;
+use crate::fifo::FifoQueues;
 use crate::fu::FuTopology;
 use crate::DispatchInst;
 use diq_isa::{FuKind, OpClass};
@@ -107,6 +107,38 @@ impl CamEnergy {
             bank_idle: cam.idle_energy_pj(tech),
             mux: MuxEnergy::new(topology, tech),
         }
+    }
+}
+
+/// A selection tree's charge ([`SelectSpec::select_energy_pj`]) at every
+/// number of active candidates the tree can see, computed once at
+/// construction: a cycle's select charge is then an index, and the very
+/// same `f64` the formula gives.
+#[derive(Clone, Debug)]
+pub(crate) struct SelectTable {
+    pj: Box<[f64]>,
+}
+
+impl SelectTable {
+    /// The charges for `0..=max_active` active candidates.
+    pub(crate) fn new(spec: &SelectSpec, tech: &TechParams, max_active: usize) -> Self {
+        SelectTable {
+            pj: (0..=max_active)
+                .map(|active| spec.select_energy_pj(tech, active))
+                .collect(),
+        }
+    }
+
+    /// The charge for `active` candidates.
+    #[inline]
+    pub(crate) fn get(&self, active: usize) -> f64 {
+        self.pj[active]
+    }
+
+    /// Every charge, indexed by the number of active candidates.
+    #[cfg(test)]
+    pub(crate) fn charges(&self) -> &[f64] {
+        &self.pj
     }
 }
 
@@ -270,13 +302,9 @@ impl IdleCharge {
     /// One cycle's head polls of a FIFO array, as the selection pass
     /// charges them: a `regs_ready` read per present operand of every
     /// unheld head.
-    pub(crate) fn push_head_polls(
-        &mut self,
-        heads: impl Iterator<Item = (usize, Entry)>,
-        em: &FifoEnergy,
-    ) {
-        for (_, e) in heads {
-            self.push_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
+    pub(crate) fn push_head_polls(&mut self, fifo: &FifoQueues, em: &FifoEnergy) {
+        for reads in fifo.head_reads() {
+            self.push_events(Component::RegsReady, reads.into(), em.regs_ready_read);
         }
     }
 

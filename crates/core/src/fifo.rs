@@ -19,7 +19,7 @@
 
 use crate::energy::{FifoEnergy, IdleCharge};
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
+use crate::soa::{EntryStore, Mask};
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{ArchReg, Cycle, InstId, OpClass, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -68,11 +68,32 @@ impl Entry {
 /// Ordered FIFO queues of slots over one pooled [`EntryStore`]: the part
 /// every FIFO side shares, however it places entries. Entries within a
 /// queue are in dispatch (age) order; only a queue's head may issue.
+///
+/// Besides the queues themselves, a head table says, per queue, which slot
+/// is the head, how many operand reads its scoreboard poll makes, and —
+/// as masks over the queues — whether the queue is non-empty, whether its
+/// head polls (is not held after a speculative issue) and whether the head
+/// has both operands ready. Push, pop, hold, cancel, squash and wakeup
+/// keep the table, each for the heads it touches, so a cycle's selection
+/// reads it instead of probing every queue.
 #[derive(Clone, Debug)]
 pub(crate) struct FifoQueues {
     store: EntryStore,
     queues: Vec<VecDeque<u32>>,
     capacity: usize,
+    /// Each queue's head slot; meaningless for an empty queue.
+    head: Box<[u32]>,
+    /// Present operands of each queue's head: its scoreboard reads.
+    head_reads: Box<[u8]>,
+    /// The queue each slot was pushed to (wakeup finds a woken head's
+    /// queue through it).
+    queue_of: Box<[u32]>,
+    /// The non-empty queues.
+    live: Mask,
+    /// Live queues whose head is not held: the heads that poll.
+    polled: Mask,
+    /// Live queues whose head has both operands ready.
+    ready: Mask,
 }
 
 impl FifoQueues {
@@ -88,6 +109,12 @@ impl FifoQueues {
                 .map(|_| VecDeque::with_capacity(capacity))
                 .collect(),
             capacity,
+            head: vec![0; queues].into_boxed_slice(),
+            head_reads: vec![0; queues].into_boxed_slice(),
+            queue_of: vec![0; queues * capacity].into_boxed_slice(),
+            live: Mask::new(queues),
+            polled: Mask::new(queues),
+            ready: Mask::new(queues),
         }
     }
 
@@ -105,7 +132,7 @@ impl FifoQueues {
     }
 
     pub(crate) fn first_empty(&self) -> Option<usize> {
-        self.queues.iter().position(VecDeque::is_empty)
+        self.live.first_absent(self.count())
     }
 
     /// The slot of queue `q`'s tail entry.
@@ -113,32 +140,67 @@ impl FifoQueues {
         self.queues[q].back().copied()
     }
 
+    /// Re-reads the head-table row of live queue `q` from its head entry.
+    fn refresh_head(&mut self, q: usize) {
+        let slot = self.head[q];
+        self.head_reads[q] = self.store.nsrc(slot) as u8;
+        self.polled.set(q, !self.store.is_held(slot));
+        self.ready.set(q, self.store.all_ready(slot));
+    }
+
+    /// Queue `q` has no entries left: its row leaves every mask.
+    fn drop_head(&mut self, q: usize) {
+        self.live.remove(q);
+        self.polled.remove(q);
+        self.ready.remove(q);
+    }
+
     /// Appends `d` to queue `q` and returns its slot.
     pub(crate) fn push(&mut self, q: usize, d: &DispatchInst) -> u32 {
         let slot = self.store.insert(&Entry::new(d));
+        self.queue_of[slot as usize] = q as u32;
+        if self.queues[q].is_empty() {
+            self.head[q] = slot;
+            self.live.insert(q);
+            self.refresh_head(q);
+        }
         self.queues[q].push_back(slot);
         slot
     }
 
-    /// Head candidates: `(queue, entry)` for each non-empty queue whose
-    /// head is not held after a speculative issue (a held head neither
-    /// polls the scoreboard nor competes for selection — it already left
-    /// through the issue port and is waiting for its load to be confirmed
-    /// or cancelled).
-    pub(crate) fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues.iter().enumerate().filter_map(|(q, fifo)| {
-            fifo.front()
-                .filter(|&&slot| !self.store.is_held(slot))
-                .map(|&slot| (q, self.store.snapshot(slot)))
-        })
+    /// Each polling head's scoreboard reads, in queue order. The polling
+    /// heads are those of the non-empty queues, less any held after a
+    /// speculative issue: a held head neither polls the scoreboard nor
+    /// competes for selection — it already left through the issue port
+    /// and is waiting for its load to be confirmed or cancelled.
+    #[inline]
+    pub(crate) fn head_reads(&self) -> impl Iterator<Item = u8> + '_ {
+        self.polled.iter().map(|q| self.head_reads[q])
+    }
+
+    /// `(queue, slot)` of each polling head with both operands ready, in
+    /// queue order: the selection candidates.
+    #[inline]
+    pub(crate) fn ready_heads(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.polled.and(&self.ready).map(|q| (q, self.head[q]))
+    }
+
+    /// The unheld heads as `(queue, entry)`, in queue order.
+    #[cfg(test)]
+    pub(crate) fn head_entries(&self) -> Vec<(usize, Entry)> {
+        self.polled
+            .iter()
+            .map(|q| (q, self.store.snapshot(self.head[q])))
+            .collect()
     }
 
     /// Marks the head of queue `q` as held after a speculative issue: it
     /// keeps its slot (dispatch still sees a full entry) but stops being a
     /// selection candidate until a cancel reverts it.
     pub(crate) fn hold_head(&mut self, q: usize) {
-        let &slot = self.queues[q].front().expect("hold on empty FIFO");
-        self.store.set_held(slot);
+        assert!(self.live.contains(q), "hold on empty FIFO");
+        self.store.set_held(self.head[q]);
+        self.polled.remove(q);
     }
 
     /// Removes the head of queue `q` after it issued; `true` when that
@@ -146,33 +208,164 @@ impl FifoQueues {
     pub(crate) fn pop_head(&mut self, q: usize) -> bool {
         let slot = self.queues[q].pop_front().expect("pop from empty FIFO");
         self.store.remove(slot);
-        self.queues[q].is_empty()
+        match self.queues[q].front() {
+            Some(&next) => {
+                self.head[q] = next;
+                self.refresh_head(q);
+                false
+            }
+            None => {
+                self.drop_head(q);
+                true
+            }
+        }
     }
 
     /// Wrong-path squash: the doomed entries are a suffix of each queue,
-    /// so they are popped from the back.
+    /// so they are popped from the back. A queue keeps its head unless the
+    /// squash empties it.
     pub(crate) fn squash(&mut self, from: InstId) {
-        for queue in &mut self.queues {
-            while let Some(&back) = queue.back() {
+        for q in 0..self.queues.len() {
+            while let Some(&back) = self.queues[q].back() {
                 if self.store.id(back) < from {
                     break;
                 }
-                queue.pop_back();
+                self.queues[q].pop_back();
                 self.store.remove(back);
+            }
+            if self.queues[q].is_empty() {
+                self.drop_head(q);
             }
         }
     }
 
     /// Delivers a produced tag to the entries waiting for it (any position
     /// in any queue — buried entries collect their ready bits while they
-    /// wait their turn at the head).
+    /// wait their turn at the head). A woken head whose operands are now
+    /// both ready joins the ready mask.
     pub(crate) fn wake(&mut self, tag: PhysReg) {
-        self.store.wake(tag);
+        let (head, queue_of, ready) = (&self.head, &self.queue_of, &mut self.ready);
+        self.store.wake(tag, |slot, all_ready| {
+            let q = queue_of[slot as usize] as usize;
+            if all_ready && head[q] == slot {
+                ready.insert(q);
+            }
+        });
     }
 
-    /// Miss cancel for `tag` (see [`EntryStore::cancel`]).
+    /// Miss cancel for `tag` (see [`EntryStore::cancel`]). It may unhold
+    /// and unready any head, so every live row is re-read: a cancel
+    /// happens once per L1 miss, not once per cycle.
     pub(crate) fn cancel(&mut self, tag: PhysReg) {
         self.store.cancel(tag);
+        for q in 0..self.queues.len() {
+            if self.live.contains(q) {
+                self.refresh_head(q);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl FifoQueues {
+    /// Drops non-empty queue `q` from the live mask, as a missed update
+    /// would.
+    pub(crate) fn corrupt_live_mask(&mut self, q: usize) {
+        self.live.remove(q);
+    }
+
+    /// Registers the head of queue 0 as a listener for `tag`, which it
+    /// does not read.
+    pub(crate) fn corrupt_listener(&mut self, tag: PhysReg) {
+        self.store.corrupt_listener(tag, self.head[0]);
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for FifoQueues {
+    /// The store, then the head table and masks against the queues: each
+    /// queue's entries are live, in age order, pushed to it, and unheld
+    /// behind the head; a non-empty queue's row describes its front entry
+    /// and an empty queue is in no mask.
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        use crate::check::ensure;
+        self.store.check_bookkeeping()?;
+        let queued: usize = self.queues.iter().map(VecDeque::len).sum();
+        ensure(queued == self.store.len(), || {
+            format!("{queued} queued but {} in the store", self.store.len())
+        })?;
+        for (q, queue) in self.queues.iter().enumerate() {
+            ensure(self.live.contains(q) != queue.is_empty(), || {
+                format!(
+                    "queue {q} has {} entries but live is {}",
+                    queue.len(),
+                    self.live.contains(q)
+                )
+            })?;
+            let Some(&front) = queue.front() else {
+                ensure(!self.polled.contains(q) && !self.ready.contains(q), || {
+                    format!("empty queue {q} is in the polled or ready mask")
+                })?;
+                continue;
+            };
+            ensure(self.head[q] == front, || {
+                format!("queue {q} head {} but front slot {front}", self.head[q])
+            })?;
+            ensure(
+                u64::from(self.head_reads[q]) == self.store.nsrc(front),
+                || {
+                    format!(
+                        "queue {q} head reads {} but the head has {}",
+                        self.head_reads[q],
+                        self.store.nsrc(front)
+                    )
+                },
+            )?;
+            ensure(self.polled.contains(q) != self.store.is_held(front), || {
+                format!(
+                    "queue {q} polled is {} but held is {}",
+                    self.polled.contains(q),
+                    self.store.is_held(front)
+                )
+            })?;
+            ensure(
+                self.ready.contains(q) == self.store.all_ready(front),
+                || {
+                    format!(
+                        "queue {q} ready is {} but the head's operands say {}",
+                        self.ready.contains(q),
+                        self.store.all_ready(front)
+                    )
+                },
+            )?;
+            for (i, &slot) in queue.iter().enumerate() {
+                ensure(self.store.is_live(slot), || {
+                    format!("queue {q} holds dead slot {slot}")
+                })?;
+                ensure(self.queue_of[slot as usize] as usize == q, || {
+                    format!(
+                        "slot {slot} in queue {q} is recorded for queue {}",
+                        self.queue_of[slot as usize]
+                    )
+                })?;
+                ensure(i == 0 || !self.store.is_held(slot), || {
+                    format!("queue {q} holds held slot {slot} behind its head")
+                })?;
+                ensure(
+                    i == 0 || self.store.id(queue[i - 1]) < self.store.id(slot),
+                    || format!("queue {q} is out of age order at position {i}"),
+                )?;
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for IssueFifo {
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        self.int.fifo.check_bookkeeping()?;
+        self.fp.fifo.check_bookkeeping()
     }
 }
 
@@ -195,13 +388,18 @@ pub(crate) fn issue_heads(
     candidates.clear();
     for (side, fifo) in [Side::Int, Side::Fp].into_iter().zip(&sides) {
         let Some(fifo) = fifo else { continue };
-        let em = energy[side.index()];
-        for (q, e) in fifo.heads() {
-            meter.add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-            if e.all_ready() {
-                candidates.push((e.id.0, side, q, e));
-            }
+        let pj = energy[side.index()].regs_ready_read;
+        meter.add_each(
+            Component::RegsReady,
+            fifo.head_reads().map(|reads| f64::from(reads) * pj),
+        );
+        for (q, slot) in fifo.ready_heads() {
+            let e = fifo.store.snapshot(slot);
+            candidates.push((e.id.0, side, q, e));
         }
+    }
+    if candidates.is_empty() {
+        return;
     }
     candidates.sort_unstable_by_key(|c| c.0);
     for &(_, side, q, e) in candidates.iter() {
@@ -482,7 +680,7 @@ impl Scheduler for IssueFifo {
             .into_iter()
             .zip(&self.energy_model)
         {
-            self.idle.push_head_polls(fifo.heads(), em);
+            self.idle.push_head_polls(fifo, em);
         }
         if let Some(d) = stalled {
             self.idle.push_steering_reads(d, &self.energy_model);
@@ -623,7 +821,7 @@ mod tests {
             .unwrap();
         a.fifo.wake(PhysReg::new(diq_isa::RegClass::Int, 3));
         a.fifo.pop_head(q);
-        let (_, head) = a.fifo.heads().next().unwrap();
+        let (_, head) = a.fifo.head_entries()[0];
         assert_eq!(head.id, InstId(2));
         assert!(head.all_ready(), "buried entry collected its wakeup");
     }

@@ -240,13 +240,21 @@ impl Scheduler for LatFifo {
             .into_iter()
             .zip(&self.energy_model)
         {
-            self.idle.push_head_polls(fifo.heads(), em);
+            self.idle.push_head_polls(fifo, em);
         }
         if let Some(d) = stalled {
             self.idle.push_steering_reads(d, &self.energy_model);
         }
         self.idle.replay(&mut self.meter, wake - now);
         wake
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for LatFifo {
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        self.int.fifo.check_bookkeeping()?;
+        self.fp.fifo.check_bookkeeping()
     }
 }
 
@@ -327,10 +335,10 @@ mod tests {
         let mut q = queues();
         q.try_dispatch(&fp_di(1, OpClass::FpAdd, Some(5), [Some(4), None]), 3)
             .unwrap();
-        let (_, head) = q.fifo.heads().next().unwrap();
+        let (_, head) = q.fifo.head_entries()[0];
         assert!(!head.all_ready());
         q.fifo.wake(PhysReg::new(diq_isa::RegClass::Fp, 4));
-        let (_, head) = q.fifo.heads().next().unwrap();
+        let (_, head) = q.fifo.head_entries()[0];
         assert!(head.all_ready());
     }
 

@@ -33,6 +33,8 @@
 
 mod adaptive;
 mod cam;
+#[cfg(any(test, feature = "check"))]
+mod check;
 mod config;
 mod energy;
 mod estimate;

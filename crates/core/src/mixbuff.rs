@@ -27,11 +27,11 @@
 //! consumer lists, which also handle squash and cancel; energy is still
 //! charged per the physical per-cycle structure accesses.
 
-use crate::energy::{FifoEnergy, IdleCharge, MixEnergy};
+use crate::energy::{FifoEnergy, IdleCharge, MixEnergy, SelectTable};
 use crate::fifo::{issue_heads, Entry, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
-use crate::soa::EntryStore;
+use crate::soa::{EntryStore, Mask};
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, LatencyConfig, OpClass, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -58,6 +58,12 @@ struct MixQueues {
     chains: Vec<Vec<ChainState>>,
     /// Entries currently buffered per queue (the RAM occupancy).
     queue_len: Vec<usize>,
+    /// The queues with `queue_len > 0`: the ones whose chain table and
+    /// selection logic are powered this cycle.
+    live: Mask,
+    /// No chain's `ready` exceeds this (every value ever set is at most
+    /// it), so past `latest_ready + 1` no latency code changes any more.
+    latest_ready: Cycle,
     /// FP arch reg (class-local index) → (queue, chain, producer).
     steer: Vec<Option<(usize, usize, InstId)>>,
     /// The paper's priority heuristic: instructions whose chain finishes
@@ -93,6 +99,8 @@ impl MixQueues {
                 })
                 .collect(),
             queue_len: vec![0; queues],
+            live: Mask::new(queues),
+            latest_ready: 0,
             steer: vec![None; diq_isa::ARCH_REGS_PER_CLASS],
             fresh_first,
         }
@@ -115,6 +123,7 @@ impl MixQueues {
         ch.last = Some(d.id);
         ch.members.push_back(slot);
         self.queue_len[q] += 1;
+        self.live.insert(q);
         if let Some(dst) = d.dst_arch {
             self.steer[dst.index()] = Some((q, c, d.id));
         }
@@ -221,7 +230,9 @@ impl MixQueues {
         let ch = &mut self.chains[q][c];
         let slot = ch.members.pop_front().expect("issue from empty chain");
         ch.ready = now + result_lat;
+        self.latest_ready = self.latest_ready.max(ch.ready);
         self.queue_len[q] -= 1;
+        self.live.set(q, self.queue_len[q] > 0);
         self.store.remove(slot);
     }
 
@@ -251,6 +262,7 @@ impl MixQueues {
                     self.chains[q][c].last = last;
                 }
             }
+            self.live.set(q, self.queue_len[q] > 0);
         }
         self.clear_steering();
     }
@@ -264,11 +276,84 @@ impl MixQueues {
     /// its `ready` cycle and to `01` one cycle later, and an empty chain
     /// becomes free at `ready`. `None` if every chain settled before `from`.
     fn next_code_change(&self, from: Cycle) -> Option<Cycle> {
+        if self.latest_ready + 1 < from {
+            return None;
+        }
         self.chains
             .iter()
             .flatten()
             .filter_map(|ch| [ch.ready, ch.ready + 1].into_iter().find(|&t| t >= from))
             .min()
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for MixQueues {
+    /// The store, then the chain table against the chains: each chain's
+    /// members are live, in age order and unheld behind its front, its
+    /// joinable end is its youngest member, and no chain is ready past
+    /// `latest_ready`; each queue's occupancy is its chains' members, and
+    /// the live mask holds exactly the occupied queues.
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        use crate::check::ensure;
+        self.store.check_bookkeeping()?;
+        let mut total = 0;
+        for (q, chains) in self.chains.iter().enumerate() {
+            let members: usize = chains.iter().map(|ch| ch.members.len()).sum();
+            ensure(members == self.queue_len[q], || {
+                format!(
+                    "queue {q} length {} but its chains hold {members}",
+                    self.queue_len[q]
+                )
+            })?;
+            ensure(self.live.contains(q) == (members > 0), || {
+                format!(
+                    "queue {q} holds {members} but live is {}",
+                    self.live.contains(q)
+                )
+            })?;
+            total += members;
+            for (c, ch) in chains.iter().enumerate() {
+                ensure(ch.ready <= self.latest_ready, || {
+                    format!(
+                        "chain ({q}, {c}) ready at {} past latest_ready {}",
+                        ch.ready, self.latest_ready
+                    )
+                })?;
+                if let Some(&back) = ch.members.back() {
+                    ensure(ch.last == Some(self.store.id(back)), || {
+                        format!(
+                            "chain ({q}, {c}) last {:?} but its youngest member is {:?}",
+                            ch.last,
+                            self.store.id(back)
+                        )
+                    })?;
+                }
+                for (i, &slot) in ch.members.iter().enumerate() {
+                    ensure(self.store.is_live(slot), || {
+                        format!("chain ({q}, {c}) holds dead slot {slot}")
+                    })?;
+                    ensure(i == 0 || !self.store.is_held(slot), || {
+                        format!("chain ({q}, {c}) holds held slot {slot} behind its front")
+                    })?;
+                    ensure(
+                        i == 0 || self.store.id(ch.members[i - 1]) < self.store.id(slot),
+                        || format!("chain ({q}, {c}) is out of age order at position {i}"),
+                    )?;
+                }
+            }
+        }
+        ensure(total == self.store.len(), || {
+            format!("chains hold {total} but the store {}", self.store.len())
+        })
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for MixBuff {
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        self.int.fifo.check_bookkeeping()?;
+        self.fp.check_bookkeeping()
     }
 }
 
@@ -293,6 +378,8 @@ pub struct MixBuff {
     dl1_hit: u64,
     energy_model: [FifoEnergy; 2],
     mix_energy: MixEnergy,
+    /// The selection charge of an FP queue per number of buffered entries.
+    select: SelectTable,
     meter: EnergyMeter,
     topology: FuTopology,
     candidates: Vec<(u64, Side, usize, Entry)>,
@@ -318,6 +405,7 @@ impl MixBuff {
     ) -> Self {
         let tech = TechParams::um100();
         let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
+        let mix_energy = MixEnergy::new(fp.1, chains_per_queue, &tech);
         MixBuff {
             name,
             int: FifoArray::new(int.0, int.1, regs),
@@ -328,7 +416,8 @@ impl MixBuff {
                 FifoEnergy::new(int.1, int.0, &topology, &tech),
                 FifoEnergy::new(fp.1, fp.0, &topology, &tech),
             ],
-            mix_energy: MixEnergy::new(fp.1, chains_per_queue, &tech),
+            mix_energy,
+            select: SelectTable::new(&mix_energy.select, &tech, fp.1),
             meter: EnergyMeter::new(),
             topology,
             // One candidate per integer FIFO head, one winner per FP queue.
@@ -341,6 +430,12 @@ impl MixBuff {
                 (Component::Qrename, 1),
             ]),
         }
+    }
+
+    /// An FP queue's selection tree and its precomputed charges.
+    #[cfg(test)]
+    pub(crate) fn select_table(&self) -> (&diq_power::SelectSpec, &SelectTable) {
+        (&self.mix_energy.select, &self.select)
     }
 
     /// When the chain's last issued instruction's *result* is available:
@@ -394,23 +489,15 @@ impl Scheduler for MixBuff {
         let em_fp = self.energy_model[Side::Fp.index()];
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
-        for q in 0..self.fp.queues() {
-            let occupancy = self.fp.queue_len[q];
-            if occupancy == 0 {
-                // Empty queues power down their selection logic (the paper
-                // assumes this for MB_distr and the baseline alike).
-                continue;
-            }
+        // Empty queues power down their selection logic (the paper assumes
+        // this for MB_distr and the baseline alike): only live queues run.
+        for q in self.fp.live.iter() {
             // Chain table read+write and a selection pass happen every
             // cycle the queue is live.
             self.meter
                 .add(Component::Chains, self.mix_energy.chains_cycle);
-            self.meter.add(
-                Component::Select,
-                self.mix_energy
-                    .select
-                    .select_energy_pj(&TechParams::um100(), occupancy),
-            );
+            self.meter
+                .add(Component::Select, self.select.get(self.fp.queue_len[q]));
             if let Some((c, e)) = self.fp.select(q, now) {
                 winners.push((e.id.0, q, c, e));
             }
@@ -443,7 +530,7 @@ impl Scheduler for MixBuff {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
         self.int.fifo.wake(dst);
-        self.fp.store.wake(dst);
+        self.fp.store.wake(dst, |_, _| {});
     }
 
     fn on_mispredict(&mut self) {
@@ -489,22 +576,14 @@ impl Scheduler for MixBuff {
         }
         self.idle.clear();
         self.idle
-            .push_head_polls(self.int.fifo.heads(), &self.energy_model[Side::Int.index()]);
+            .push_head_polls(&self.int.fifo, &self.energy_model[Side::Int.index()]);
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
-        for q in 0..self.fp.queues() {
-            let occupancy = self.fp.queue_len[q];
-            if occupancy == 0 {
-                continue;
-            }
+        for q in self.fp.live.iter() {
             self.idle
                 .push(Component::Chains, self.mix_energy.chains_cycle);
-            self.idle.push(
-                Component::Select,
-                self.mix_energy
-                    .select
-                    .select_energy_pj(&TechParams::um100(), occupancy),
-            );
+            self.idle
+                .push(Component::Select, self.select.get(self.fp.queue_len[q]));
             if let Some((c, e)) = self.fp.select(q, now) {
                 winners.push((e.id.0, q, c, e));
             }
@@ -657,6 +736,7 @@ mod tests {
             .unwrap();
         m.chains[0][0].ready = 0;
         m.chains[0][1].ready = 5;
+        m.latest_ready = 5; // as `issue_from` would have kept it
         assert_eq!(m.select(0, 5).expect("winner").1.id, InstId(9));
         assert_eq!(m.select(0, 6).expect("winner").1.id, InstId(1));
         assert_eq!(m.next_code_change(3), Some(5));

@@ -77,6 +77,101 @@ fn slots(w: usize, mut word: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+/// A fixed-size set of small indices (queues, chains) as `u64` words,
+/// walked in ascending order with `trailing_zeros`.
+#[derive(Clone, Debug)]
+pub(crate) struct Mask {
+    words: Box<[u64]>,
+}
+
+impl Mask {
+    /// An empty set over `0..len` (`len > 0`).
+    pub(crate) fn new(len: usize) -> Self {
+        assert!(len > 0);
+        Mask {
+            words: vec![0; len.div_ceil(WORD_BITS)].into_boxed_slice(),
+        }
+    }
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        let (w, m) = bit(i as u32);
+        self.words[w] |= m;
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        let (w, m) = bit(i as u32);
+        self.words[w] &= !m;
+    }
+
+    pub(crate) fn set(&mut self, i: usize, member: bool) {
+        if member {
+            self.insert(i);
+        } else {
+            self.remove(i);
+        }
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        let (w, m) = bit(i as u32);
+        self.words[w] & m != 0
+    }
+
+    /// The members, ascending.
+    #[inline]
+    pub(crate) fn iter(&self) -> MaskIter<'_> {
+        self.and(self)
+    }
+
+    /// The members of both `self` and `other` (a mask of the same length),
+    /// ascending.
+    #[inline]
+    pub(crate) fn and<'a>(&'a self, other: &'a Mask) -> MaskIter<'a> {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        MaskIter {
+            a: &self.words,
+            b: &other.words,
+            w: 0,
+            word: self.words[0] & other.words[0],
+        }
+    }
+
+    /// The smallest index below `len` that is not a member.
+    pub(crate) fn first_absent(&self, len: usize) -> Option<usize> {
+        self.words
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != u64::MAX)
+            .map(|(w, &word)| w * WORD_BITS + (!word).trailing_zeros() as usize)
+            .filter(|&i| i < len)
+    }
+}
+
+/// The members of the intersection of two [`Mask`]s, ascending: one word
+/// at a time, one `trailing_zeros` per member.
+pub(crate) struct MaskIter<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+    /// Index of the word being drained.
+    w: usize,
+    /// Its members not yet returned.
+    word: u64,
+}
+
+impl Iterator for MaskIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.w += 1;
+            self.word = self.a.get(self.w)? & self.b[self.w];
+        }
+        let i = self.w * WORD_BITS + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(i)
+    }
+}
+
 impl EntryStore {
     /// A store of `capacity` slots whose operands name tags among `regs`
     /// physical registers (`[int, fp]`).
@@ -168,14 +263,18 @@ impl EntryStore {
     }
 
     /// Delivers a produced tag to the operands listening for it, wherever
-    /// their entries sit.
-    pub(crate) fn wake(&mut self, tag: PhysReg) {
+    /// their entries sit, and tells `woken(slot, all_ready)` of each operand
+    /// it readied: its entry's slot, and whether both of that entry's
+    /// operands are ready now.
+    #[inline]
+    pub(crate) fn wake(&mut self, tag: PhysReg, mut woken: impl FnMut(u32, bool)) {
         let ready = &mut self.ready;
         self.waiters.wake(tag, |waiter| {
             let (w, m) = bit(waiter.slot);
             let word = &mut ready[waiter.operand as usize][w];
             debug_assert!(*word & m == 0, "double wakeup");
             *word |= m;
+            woken(waiter.slot, ready[0][w] & ready[1][w] & m != 0);
         });
     }
 
@@ -215,6 +314,21 @@ impl EntryStore {
 
     pub(crate) fn id(&self, slot: u32) -> InstId {
         self.ids[slot as usize]
+    }
+
+    /// Present operands of the entry in `slot` (the reads a head check
+    /// makes).
+    #[inline]
+    pub(crate) fn nsrc(&self, slot: u32) -> u64 {
+        let [a, b] = self.srcs[slot as usize];
+        u64::from(a.is_some()) + u64::from(b.is_some())
+    }
+
+    /// Both operands of the entry in `slot` are ready.
+    #[inline]
+    pub(crate) fn all_ready(&self, slot: u32) -> bool {
+        let (w, m) = bit(slot);
+        self.ready[0][w] & self.ready[1][w] & m != 0
     }
 
     pub(crate) fn is_held(&self, slot: u32) -> bool {
@@ -277,6 +391,79 @@ impl EntryStore {
     }
 }
 
+#[cfg(any(test, feature = "check"))]
+impl EntryStore {
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
+        let (w, m) = bit(slot);
+        self.live[w] & m != 0
+    }
+
+    /// Makes `slot`'s second operand listen for `tag` although the entry
+    /// does not wait for it.
+    #[cfg(test)]
+    pub(crate) fn corrupt_listener(&mut self, tag: PhysReg, slot: u32) {
+        self.waiters.listen(tag, slot, 1);
+    }
+}
+
+#[cfg(any(test, feature = "check"))]
+impl crate::check::Bookkeeping for EntryStore {
+    /// The occupancy count and free list against the live bits, held bits
+    /// inside the live ones, and the wakeup lists against the operands:
+    /// every listener is a live, unready operand of the tag it listens
+    /// for, listed once, and there are as many listeners as unready
+    /// operands.
+    fn check_bookkeeping(&self) -> Result<(), String> {
+        use crate::check::ensure;
+        let live: usize = self.live.iter().map(|w| w.count_ones() as usize).sum();
+        ensure(live == self.len, || {
+            format!("len {} but {live} live slots", self.len)
+        })?;
+        ensure(self.free.len() + self.len == self.ids.len(), || {
+            format!(
+                "{} free + {} live != {} slots",
+                self.free.len(),
+                self.len,
+                self.ids.len()
+            )
+        })?;
+        for &slot in &self.free {
+            ensure(!self.is_live(slot), || format!("free slot {slot} is live"))?;
+        }
+        for (w, (&held, &live)) in self.held.iter().zip(self.live.iter()).enumerate() {
+            ensure(held & !live == 0, || {
+                format!("held bits outside live ones in word {w}")
+            })?;
+        }
+        let mut seen = vec![false; 2 * self.ids.len()];
+        let waiters = self.waiters.waiters()?;
+        for &(tag, waiter) in &waiters {
+            let (slot, op) = (waiter.slot, usize::from(waiter.operand));
+            let (w, m) = bit(slot);
+            ensure(
+                !std::mem::replace(&mut seen[2 * slot as usize + op], true),
+                || format!("slot {slot} operand {op} listens twice"),
+            )?;
+            ensure(self.is_live(slot), || {
+                format!("{tag:?} has a listener in dead slot {slot}")
+            })?;
+            ensure(self.ready[op][w] & m == 0, || {
+                format!("{tag:?} has a listener in slot {slot} whose operand {op} is ready")
+            })?;
+            ensure(self.srcs[slot as usize][op] == Some(tag), || {
+                format!("slot {slot} operand {op} listens for {tag:?}, not its source")
+            })?;
+        }
+        ensure(waiters.len() == self.unready_operand_count(), || {
+            format!(
+                "{} listeners for {} unready operands",
+                waiters.len(),
+                self.unready_operand_count()
+            )
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +510,7 @@ mod tests {
         let tag = PhysReg::new(RegClass::Int, 7);
         let a = s.insert(&entry(1, [false, true]));
         assert_eq!(s.selectable_count(), 0);
-        s.wake(tag);
+        s.wake(tag, |_, _| {});
         assert!(s.snapshot(a).all_ready());
         assert_eq!(s.selectable_count(), 1);
         s.set_held(a);
@@ -334,7 +521,7 @@ mod tests {
         assert_eq!(e.ready, [false, true], "only the cancelled operand reverts");
         assert!(!e.held, "cancel returns a held entry to the queue");
         assert_eq!(s.unready_operand_count(), 1);
-        s.wake(tag);
+        s.wake(tag, |_, _| {});
         assert!(s.snapshot(a).all_ready(), "cancel listens again");
     }
 

@@ -130,6 +130,40 @@ impl WakeupMap {
     }
 }
 
+#[cfg(any(test, feature = "check"))]
+impl WakeupMap {
+    /// Every registered waiter as `(tag, waiter)`, list by list; `Err`
+    /// when a list does not end within the map's size (a cycle).
+    pub(crate) fn waiters(&self) -> Result<Vec<(PhysReg, Waiter)>, String> {
+        let mut out = Vec::new();
+        for (class, heads) in [diq_isa::RegClass::Int, diq_isa::RegClass::Fp]
+            .into_iter()
+            .zip(&self.heads)
+        {
+            for (index, &head) in heads.iter().enumerate() {
+                let tag = PhysReg::new(class, index as u16);
+                let mut w = head;
+                let mut steps = 0;
+                while w != NIL {
+                    steps += 1;
+                    if steps > self.next.len() {
+                        return Err(format!("the waiter list of {tag:?} does not end"));
+                    }
+                    out.push((
+                        tag,
+                        Waiter {
+                            slot: w / 2,
+                            operand: (w % 2) as u8,
+                        },
+                    ));
+                    w = self.next[w as usize];
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

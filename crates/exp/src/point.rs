@@ -179,8 +179,17 @@ impl Point {
     #[must_use]
     pub fn execute_profiled(&self) -> (SimStats, StageProfile) {
         let mut sim = Simulator::new(&self.machine, &self.scheme);
+        let stats = self.run_on(&mut sim);
+        (stats, sim.take_stage_profile())
+    }
+
+    /// Runs this point's workload on `sim`, a fresh simulator of this
+    /// point's machine and scheme, and leaves it for the caller to inspect
+    /// (the fast-forward count, the stage profile). Panics as `execute`
+    /// does.
+    pub fn run_on(&self, sim: &mut Simulator) -> SimStats {
         sim.set_benchmark(self.benchmark());
-        let stats = match &self.source {
+        match &self.source {
             WorkloadSource::Spec(spec) => {
                 if self.machine.wrong_path {
                     let mut program = diq_workload::TraceGenerator::new(spec);
@@ -208,8 +217,7 @@ impl Point {
                 }
                 stats
             }
-        };
-        (stats, sim.take_stage_profile())
+        }
     }
 }
 

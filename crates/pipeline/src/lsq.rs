@@ -67,12 +67,18 @@ pub struct Lsq {
     store_base: u64,
     /// Loads in the memory phase `(id, dword)`, program order.
     pending: Vec<(InstId, u64)>,
-    /// Per-cycle scratch: `dword -> all matching older stores data-ready`.
-    match_scratch: Vec<(u64, bool)>,
+    /// Scratch of the disambiguation pass: `dword -> all matching older
+    /// stores data-ready`.
+    matches: MatchTable,
     /// Cached non-`Wait` actions for the current queue state; valid while
     /// `actions_dirty` is false. Disambiguation outcomes only change when
     /// an entry changes state, which is a per-instruction event — stalled
-    /// cycles reuse the cache instead of re-walking the queue.
+    /// cycles reuse the cache instead of re-walking the queue. A load's
+    /// outcome depends only on the stores older than it, so a change that
+    /// no pending load is younger than (a push, an update of a store
+    /// younger than every pending load) leaves the cache valid, a load
+    /// entering the pending set just adds its own action, and a load
+    /// leaving it (started, squashed) just leaves it.
     cached_actions: Vec<(InstId, LoadAction)>,
     actions_dirty: bool,
     /// Forwarding statistics.
@@ -109,7 +115,7 @@ impl Lsq {
             entries: VecDeque::with_capacity(capacity),
             stores: VecDeque::with_capacity(capacity),
             pending: Vec::with_capacity(capacity),
-            match_scratch: Vec::with_capacity(capacity),
+            matches: MatchTable::with_capacity(capacity),
             cached_actions: Vec::with_capacity(capacity),
             ..Self::default()
         }
@@ -129,7 +135,7 @@ impl Lsq {
             data_ready: false,
             store,
         });
-        self.actions_dirty = true;
+        // The new entry is the youngest: no pending load is younger.
         if is_store {
             self.stores.push_back(StoreInfo {
                 id,
@@ -161,9 +167,9 @@ impl Lsq {
         if e.data_ready {
             e.state = MemState::Done;
         }
-        let store = e.store;
+        let (id, store) = (e.id, e.store);
         self.store_mut(store).addr_known = true;
-        self.actions_dirty = true;
+        self.store_changed(id);
     }
 
     /// A store's data value became available: younger matching loads can
@@ -175,9 +181,17 @@ impl Lsq {
         if e.addr_known {
             e.state = MemState::Done;
         }
-        let store = e.store;
+        let (id, store) = (e.id, e.store);
         self.store_mut(store).data_ready = true;
-        self.actions_dirty = true;
+        self.store_changed(id);
+    }
+
+    /// Store `id` changed state: the cache is stale if a pending load is
+    /// younger than it.
+    fn store_changed(&mut self, id: InstId) {
+        if self.pending.last().is_some_and(|&(lid, _)| lid > id) {
+            self.actions_dirty = true;
+        }
     }
 
     /// A load finished address generation: it enters the memory phase.
@@ -188,7 +202,33 @@ impl Lsq {
         let (id, dw) = (e.id, dword(e.addr));
         let pos = self.pending.partition_point(|&(pid, _)| pid < id);
         self.pending.insert(pos, (id, dw));
-        self.actions_dirty = true;
+        // The other pending loads' actions do not depend on this one: a
+        // valid cache only gains this load's, decided on its own.
+        if !self.actions_dirty {
+            if let Some(action) = self.decide(id, dw) {
+                let at = self.cached_actions.partition_point(|&(aid, _)| aid < id);
+                self.cached_actions.insert(at, (id, action));
+            }
+        }
+    }
+
+    /// The action of load `id` on double-word `dw` (`None` for `Wait`),
+    /// from one walk over the stores older than it.
+    fn decide(&self, id: InstId, dw: u64) -> Option<LoadAction> {
+        let mut all_ready = None;
+        for st in self.stores.iter().take_while(|st| st.id < id) {
+            if !st.addr_known {
+                return None;
+            }
+            if st.dw == dw {
+                all_ready = Some(all_ready.unwrap_or(true) & st.data_ready);
+            }
+        }
+        match all_ready {
+            None => Some(LoadAction::Access),
+            Some(true) => Some(LoadAction::Forward),
+            Some(false) => None,
+        }
     }
 
     /// Loads currently in the memory phase, oldest first.
@@ -252,7 +292,9 @@ impl Lsq {
         let pos = self.pending.partition_point(|&(pid, _)| pid < id);
         debug_assert_eq!(self.pending.get(pos).map(|&(pid, _)| pid), Some(id));
         self.pending.remove(pos);
-        self.actions_dirty = true;
+        if let Some(at) = self.cached_actions.iter().position(|&(aid, _)| aid == id) {
+            self.cached_actions.remove(at);
+        }
     }
 
     /// Wrong-path squash: removes every entry with `id >= from` (a suffix —
@@ -268,7 +310,7 @@ impl Lsq {
             self.stores.pop_back();
         }
         self.pending.retain(|&(id, _)| id < from);
-        self.actions_dirty = true;
+        self.cached_actions.retain(|&(id, _)| id < from);
     }
 
     /// Removes the (oldest) entry at commit.
@@ -280,7 +322,10 @@ impl Lsq {
             debug_assert_eq!(self.stores.front().map(|s| s.id), Some(id));
             self.stores.pop_front();
             self.store_base += 1;
-            self.actions_dirty = true;
+            // Every pending load is younger than the oldest entry.
+            if !self.pending.is_empty() {
+                self.actions_dirty = true;
+            }
         }
     }
 
@@ -305,12 +350,15 @@ impl Lsq {
         out.extend_from_slice(&self.cached_actions);
     }
 
+    /// One pass over the pending loads and the stores older than the
+    /// youngest of them, O(stores + loads): each store's double-word is
+    /// folded into a hashed table, which each load then looks up.
     fn recompute_actions(&mut self) {
         self.cached_actions.clear();
         if self.pending.is_empty() {
             return;
         }
-        self.match_scratch.clear();
+        self.matches.reset(self.stores.len());
         let mut unknown = false;
         let mut si = 0;
         for &(lid, ldw) in &self.pending {
@@ -323,10 +371,7 @@ impl Lsq {
                     unknown = true;
                     break;
                 }
-                match self.match_scratch.iter_mut().find(|(dw, _)| *dw == st.dw) {
-                    Some((_, all_ready)) => *all_ready &= st.data_ready,
-                    None => self.match_scratch.push((st.dw, st.data_ready)),
-                }
+                self.matches.fold(st.dw, st.data_ready);
                 si += 1;
             }
             if unknown {
@@ -334,12 +379,7 @@ impl Lsq {
                 // for this and every younger load.
                 break;
             }
-            match self
-                .match_scratch
-                .iter()
-                .find(|&&(dw, _)| dw == ldw)
-                .map(|&(_, all_ready)| all_ready)
-            {
+            match self.matches.get(ldw) {
                 // A matching older store with its value: forward. Any
                 // matching older store still missing its value: wait.
                 Some(true) => self.cached_actions.push((lid, LoadAction::Forward)),
@@ -359,6 +399,76 @@ impl Lsq {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// An open-addressing table from a double-word to "every store folded in
+/// for it had its data ready", cleared in O(1) per pass by a generation
+/// stamp. It is sized to at least twice the stores a pass can fold in, so
+/// probe runs stay short.
+#[derive(Clone, Debug, Default)]
+struct MatchTable {
+    /// `(dword, all_ready, generation)`; a slot whose generation is not
+    /// the current one is empty.
+    slots: Vec<(u64, bool, u32)>,
+    generation: u32,
+}
+
+impl MatchTable {
+    fn with_capacity(stores: usize) -> Self {
+        let mut table = MatchTable::default();
+        table.reset(stores);
+        table
+    }
+
+    /// Empties the table for a pass that folds in at most `stores` stores.
+    fn reset(&mut self, stores: usize) {
+        let want = (2 * stores).next_power_of_two().max(16);
+        if self.slots.len() < want {
+            self.slots = vec![(0, false, 0); want];
+            self.generation = 0;
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps wrapped: stale slots could read as current.
+            self.slots.iter_mut().for_each(|s| s.2 = 0);
+            self.generation = 1;
+        }
+    }
+
+    /// The slot holding `dw`, or the empty slot where it belongs.
+    #[inline]
+    fn find(&self, dw: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the multiply spreads nearby double-words.
+        let mut i = (dw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            let (key, _, generation) = self.slots[i];
+            if generation != self.generation || key == dw {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Folds a store to `dw` in.
+    #[inline]
+    fn fold(&mut self, dw: u64, data_ready: bool) {
+        let i = self.find(dw);
+        let slot = &mut self.slots[i];
+        if slot.2 == self.generation {
+            slot.1 &= data_ready;
+        } else {
+            *slot = (dw, data_ready, self.generation);
+        }
+    }
+
+    /// Whether every store folded in for `dw` had its data ready; `None`
+    /// when none was.
+    #[inline]
+    fn get(&self, dw: u64) -> Option<bool> {
+        let (_, all_ready, generation) = self.slots[self.find(dw)];
+        (generation == self.generation).then_some(all_ready)
     }
 }
 
@@ -525,6 +635,144 @@ mod tests {
         let mut actions = Vec::new();
         lsq.pending_load_actions_into(&mut actions);
         assert!(actions.is_empty(), "blocked load must not surface");
+    }
+
+    /// The disambiguation pass as it was before the hashed table: the
+    /// same merge walk, with each double-word found by a linear search.
+    /// Kept as the oracle of the differential test below.
+    fn linear_find_actions(lsq: &Lsq) -> Vec<(InstId, LoadAction)> {
+        let mut actions = Vec::new();
+        let mut scratch: Vec<(u64, bool)> = Vec::new();
+        let mut si = 0;
+        'loads: for &(lid, ldw) in &lsq.pending {
+            while si < lsq.stores.len() && lsq.stores[si].id < lid {
+                let st = lsq.stores[si];
+                if !st.addr_known {
+                    break 'loads;
+                }
+                match scratch.iter_mut().find(|(dw, _)| *dw == st.dw) {
+                    Some((_, all_ready)) => *all_ready &= st.data_ready,
+                    None => scratch.push((st.dw, st.data_ready)),
+                }
+                si += 1;
+            }
+            match scratch.iter().find(|&&(dw, _)| dw == ldw) {
+                Some(&(_, true)) => actions.push((lid, LoadAction::Forward)),
+                Some(&(_, false)) => {}
+                None => actions.push((lid, LoadAction::Access)),
+            }
+        }
+        actions
+    }
+
+    /// SplitMix64: a dependency-free stream for the random walks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Random load and store streams — addresses drawn from a few
+    /// double-words so stores collide, store addresses and data arriving
+    /// in any order, loads entering and leaving the memory phase, commits
+    /// and wrong-path squashes — with the hashed pass held to the
+    /// linear-search oracle after every step, on a queue that starts
+    /// unsized (the table grows) and on a presized one.
+    #[test]
+    fn hashed_pass_matches_linear_find_oracle_on_random_streams() {
+        // Access and Forward actions seen, to show the walk reaches both.
+        let mut seen = [0u64; 2];
+        for seed in 0..64u64 {
+            let mut rng = Rng(seed);
+            let mut lsq = if seed % 2 == 0 {
+                Lsq::new()
+            } else {
+                Lsq::with_capacity(64)
+            };
+            let dwords = 1 + rng.below(12);
+            // Live entries: (seq, id, is_store, addr_done, data_done).
+            let mut live: Vec<(u64, InstId, bool, bool, bool)> = Vec::new();
+            let mut next_id = 0u64;
+            let mut actions = Vec::new();
+            for _ in 0..400 {
+                match rng.below(9) {
+                    0..=2 if live.len() < 64 => {
+                        let is_store = rng.below(3) == 0;
+                        let addr = (rng.below(dwords) << 3) | rng.below(8);
+                        let id = InstId(next_id);
+                        next_id += 1;
+                        let seq = lsq.push(id, is_store, addr);
+                        live.push((seq, id, is_store, false, false));
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let i = rng.below(live.len() as u64) as usize;
+                        let (seq, _, is_store, addr_done, _) = live[i];
+                        if !addr_done {
+                            live[i].3 = true;
+                            if is_store {
+                                lsq.store_addr_done(seq);
+                            } else {
+                                lsq.load_addr_done(seq);
+                            }
+                        }
+                    }
+                    5 if !live.is_empty() => {
+                        let i = rng.below(live.len() as u64) as usize;
+                        let (seq, _, is_store, _, data_done) = live[i];
+                        if is_store && !data_done {
+                            live[i].4 = true;
+                            lsq.store_data_ready(seq);
+                        }
+                    }
+                    6 => {
+                        // Start a load whose action allows it.
+                        lsq.pending_load_actions_into(&mut actions);
+                        if let Some(&(id, action)) = actions.first() {
+                            let e = live.iter_mut().find(|e| e.1 == id).unwrap();
+                            e.4 = true;
+                            lsq.load_started(e.0, action == LoadAction::Forward);
+                        }
+                    }
+                    7 if !live.is_empty() => {
+                        // Commit the oldest once it is done (a load once
+                        // its access started).
+                        let (_, id, _, addr_done, data_done) = live[0];
+                        if addr_done && data_done {
+                            lsq.pop(id);
+                            live.remove(0);
+                        }
+                    }
+                    8 if !live.is_empty() && rng.below(4) == 0 => {
+                        let i = rng.below(live.len() as u64) as usize;
+                        let from = live[i].1;
+                        lsq.squash(from);
+                        live.truncate(i);
+                    }
+                    _ => {}
+                }
+                let expected = linear_find_actions(&lsq);
+                lsq.pending_load_actions_into(&mut actions);
+                assert_eq!(actions, expected, "seed {seed}");
+                assert_actions_match_reference(&mut lsq);
+                for &(_, action) in &actions {
+                    seen[usize::from(action == LoadAction::Forward)] += 1;
+                }
+            }
+        }
+        assert!(
+            seen[0] > 0 && seen[1] > 0,
+            "both actions exercised: {seen:?}"
+        );
     }
 
     #[test]

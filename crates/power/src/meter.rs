@@ -137,6 +137,19 @@ impl EnergyMeter {
         self.add(component, events as f64 * pj_per_event);
     }
 
+    /// Adds each value of `pjs` to `component`, in order — bit-identical
+    /// to one [`add`](Self::add) per value, with the running sum held in a
+    /// register between the adds.
+    #[inline]
+    pub fn add_each(&mut self, component: Component, pjs: impl IntoIterator<Item = f64>) {
+        let mut acc = self.pj[component.idx()];
+        for pj in pjs {
+            debug_assert!(pj >= 0.0, "negative energy");
+            acc += pj;
+        }
+        self.pj[component.idx()] = acc;
+    }
+
     /// Adds each value of `per_cycle` to `component`, in order, and repeats
     /// that `cycles` times — bit-identical to `cycles × per_cycle.len()`
     /// calls of [`add`](Self::add), because the additions happen one by

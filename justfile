@@ -138,6 +138,12 @@ bench-smoke:
     DIQ_INSTRS=2000 ./target/release/diq figure headline
     DIQ_INSTRS=2000 ./target/release/diq figure ablation_chains
 
+# Host cost of every point of a spec, in-process: best-of-N wall time,
+# ns per instruction, stepped vs fast-forwarded cycles, and a SimStats
+# fingerprint to compare two builds' results by.
+point-cost spec="experiments/point_cost.json" reps="5":
+    cargo run --release --example point_cost -- {{spec}} --reps {{reps}}
+
 # Lines of code, the measure of "less code": per crate (`crates/*/src`)
 # and the root `src/`, the lines that are neither blank nor `//` comments,
 # up to the file's `#[cfg(test)] mod tests`. With a directory, per file.

@@ -5,7 +5,9 @@
 //! waiter would either wake a dead slab slot (debug panic) or flip a ready
 //! bit on the entry that reused the slot, which diverges from the frozen
 //! scan reference. The event-driven and scan models must issue the same
-//! instructions in the same order and drain to empty.
+//! instructions in the same order and drain to empty, and the event-driven
+//! one has its bookkeeping checked after every call
+//! (`SchedulerConfig::build_checked`).
 
 use diq::isa::{ArchReg, Cycle, InstId, OpClass, PhysReg, ProcessorConfig, RegClass};
 use diq::sched::{DispatchInst, IssueSink, Scheduler, SchedulerConfig, Side};
@@ -176,7 +178,7 @@ proptest! {
         let cfg = ProcessorConfig::hpca2004();
         let squash_at = (first.len() as f64 * squash_frac) as u64;
         for sc in SchedulerConfig::known() {
-            let mut fast = sc.build(&cfg);
+            let mut fast = sc.build_checked(&cfg);
             let mut scan = sc.build_scan(&cfg);
             let (fast_acc, fast_issued) = run_scenario(fast.as_mut(), &first, &second, squash_at);
             let (scan_acc, scan_issued) = run_scenario(scan.as_mut(), &first, &second, squash_at);

@@ -3,7 +3,8 @@
 //! wakeup (`diq_core::reference`) and the event-driven wakeup, for every
 //! registered scheme. The golden test pins the shipped grids; this hunts
 //! the corners — random dependence shapes, FP/INT mixes, branch noise and
-//! memory behaviour.
+//! memory behaviour. The event-driven side runs with its bookkeeping
+//! checked after every scheduler call (`SchedulerConfig::build_checked`).
 
 use diq::isa::ProcessorConfig;
 use diq::pipeline::{Simulator, TraceSource};
@@ -87,7 +88,7 @@ proptest! {
         let n = 600u64;
         let trace = spec.generate(n as usize);
         for sched in SchedulerConfig::known() {
-            let mut fast = Simulator::new(&cfg, &sched);
+            let mut fast = Simulator::with_scheduler(&cfg, sched.build_checked(&cfg));
             fast.set_benchmark(&spec.name);
             let fast_stats = fast.run_workload(&mut TraceSource::new(trace.clone()), n);
 
@@ -116,7 +117,7 @@ proptest! {
         cfg.wrong_path = true;
         let n = 600u64;
         for sched in SchedulerConfig::known() {
-            let mut fast = Simulator::new(&cfg, &sched);
+            let mut fast = Simulator::with_scheduler(&cfg, sched.build_checked(&cfg));
             fast.set_benchmark(&spec.name);
             let mut program = TraceGenerator::new(&spec);
             let fast_stats = fast.run_workload(&mut program, n);
